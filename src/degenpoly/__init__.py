@@ -37,7 +37,6 @@ from .poly import (
     Y,
     ZERO,
     MultiPoly,
-    Rational,
     binomial,
     monomial_text,
     parse_poly,
@@ -64,7 +63,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "MultiPoly",
-    "Rational",
     "binomial",
     "parse_poly",
     "render_poly",

@@ -10,10 +10,11 @@ Two subcommands:
   JSON.
 
 Exit codes: 0 success / all cells passed, 1 at least one cell failed,
-2 usage error.  Output is deterministic: identical invocations produce
-byte-identical files.  Values are exact; symbolic lambda or argument is the
-flag token ``sym`` / ``sym-x``, rationals are ``p/q`` or integer text, and
-no floating point appears anywhere.
+2 usage error or an ``--out`` file that cannot be written.  Output is
+deterministic: identical invocations produce byte-identical files.  Values
+are exact; symbolic lambda or argument is the flag token ``sym`` /
+``sym-x``, rationals are ``p/q`` or integer text, and no floating point
+appears anywhere.
 
 The only environment variable read is ``DEGENPOLY_OUT_DIR``, an optional
 directory prefix for relative ``--out`` paths.
@@ -28,25 +29,28 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, families
+from . import __version__, degen, families
 from . import verify as verify_mod
-from .degen import deg_multi_polyexp, stirling1_deg_recurrence
+from .degen import StirlingTable
 from .poly import MultiPoly, monomial_text
 
-FAMILY_CHOICES = (
-    "genocchi",
-    "genocchi-r",
-    "euler-r",
-    "poly-genocchi",
-    "multi-poly-genocchi",
-    "stirling1",
-    "multi-polyexp",
-)
-
-IDENTITY_CHOICES = ("thm1", "cor2", "thm3", "prop4", "eq15", "basics", "all")
-
-STIRLING_FAMILY_ID = "Stirling1Deg"
-POLYEXP_FAMILY_ID = "MultiPolyExpDeg"
+# --family -> (module, builder name, builder inputs before n_max, family id).
+# The builder is looked up on its module at call time.  Inputs: "arg" is
+# --arg, "r" is --r, "ks" is --ks and "k" is its single index.
+FAMILIES = {
+    "genocchi": (families, "genocchi_deg", ("arg",), families.GENOCCHI),
+    "genocchi-r": (families, "genocchi_deg_order", ("r", "arg"), families.GENOCCHI_ORDER),
+    "euler-r": (families, "euler_deg_order", ("r", "arg"), families.EULER_ORDER),
+    "poly-genocchi": (families, "poly_genocchi_deg", ("k", "arg"), families.POLY_GENOCCHI),
+    "multi-poly-genocchi": (
+        families,
+        "multi_poly_genocchi_deg",
+        ("ks", "arg"),
+        families.MULTI_POLY_GENOCCHI,
+    ),
+    "stirling1": (degen, "stirling1_deg_recurrence", (), "Stirling1Deg"),
+    "multi-polyexp": (degen, "deg_multi_polyexp", ("ks",), "MultiPolyExpDeg"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute a family and emit a coefficient table")
-    pc.add_argument("--family", required=True, choices=FAMILY_CHOICES)
+    pc.add_argument("--family", required=True, choices=tuple(FAMILIES))
     pc.add_argument("--n-max", dest="n_max", type=int, default=8)
     pc.add_argument("--r", type=int, default=None, help="order (genocchi-r, euler-r)")
     pc.add_argument("--ks", default=None, help="comma-separated integer indices, e.g. 1,2")
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="verify identities and emit a report")
-    pv.add_argument("--identity", required=True, choices=IDENTITY_CHOICES)
+    pv.add_argument("--identity", required=True, choices=verify_mod.IDENTITY_CHOICES)
     pv.add_argument("--n-max", dest="n_max", type=int, default=8)
     pv.add_argument("--r", default=None, help="restrict the sweep: an int or a range like 1-3")
     pv.add_argument(
@@ -131,12 +135,21 @@ def _out_path(out: str) -> str | None:
 
 
 def _write_text(text: str, out: str) -> None:
+    """Write to stdout, or replace the --out file whole; exit 2 if it cannot be written."""
     path = _out_path(out)
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        print(f"degenpoly: error: cannot write --out {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _render_json(payload: dict) -> str:
@@ -167,30 +180,40 @@ def _render_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _entries(built, n_max: int):
+    """(n, k, value) for a family, a series, or (with k) the Stirling triangle."""
+    if isinstance(built, StirlingTable):
+        return [(n, k, built.value(n, k)) for n in range(n_max + 1) for k in range(n + 1)]
+    values = built.values if isinstance(built, families.PolyFamily) else built.coeffs
+    return [(n, None, value) for n, value in enumerate(values)]
+
+
 def cmd_compute(args, parser: argparse.ArgumentParser) -> int:
     if args.n_max < 0:
         parser.error("--n-max must be nonnegative")
     family = args.family
+    module, builder, inputs, family_id = FAMILIES[family]
     lam: Fraction | None = (
         None if args.lam == "sym" else _parse_rational(args.lam, "--lambda", parser)
     )
     ks = _parse_ks(args.ks, parser) if args.ks is not None else None
 
-    needs_ks = family in ("poly-genocchi", "multi-poly-genocchi", "multi-polyexp")
-    if needs_ks and ks is None:
+    takes_ks = "ks" in inputs or "k" in inputs
+    if takes_ks and ks is None:
         parser.error(f"--family {family} requires --ks")
-    if not needs_ks and ks is not None:
+    if not takes_ks and ks is not None:
         parser.error(f"--family {family} does not take --ks")
-    if family == "poly-genocchi" and len(ks) != 1:
-        parser.error("--family poly-genocchi takes exactly one index in --ks")
-    if family in ("genocchi-r", "euler-r"):
+    if "k" in inputs and len(ks) != 1:
+        parser.error(f"--family {family} takes exactly one index in --ks")
+    if "r" in inputs:
         if args.r is None or args.r < 1:
             parser.error(f"--family {family} requires --r >= 1")
     elif args.r is not None:
         if ks is None or args.r != len(ks):
             parser.error(f"--r does not apply to --family {family} (or mismatches --ks)")
-    if family in ("stirling1", "multi-polyexp") and args.arg != "sym-x":
+    if "arg" not in inputs and args.arg != "sym-x":
         parser.error(f"--family {family} does not take --arg")
+    argument = "x" if args.arg == "sym-x" else _parse_rational(args.arg, "--arg", parser)
 
     meta = {
         "version": __version__,
@@ -203,51 +226,23 @@ def cmd_compute(args, parser: argparse.ArgumentParser) -> int:
         "arg": args.arg,
         "format": args.format,
     }
-
-    def finish(value: MultiPoly) -> MultiPoly:
-        return value if lam is None else value.substitute("lambda", lam)
-
-    records: list[dict] = []
+    params = {
+        "r": args.r if "r" in inputs else (len(ks) if "ks" in inputs else None),
+        "ks": list(ks) if ks else None,
+        "argument": args.arg if "arg" in inputs else None,
+        "lambda": args.lam,
+    }
+    given = {"arg": argument, "r": args.r, "k": ks and ks[0], "ks": ks}
     try:
-        if family == "stirling1":
-            params = {"r": None, "ks": None, "argument": None, "lambda": args.lam}
-            table = stirling1_deg_recurrence(args.n_max)
-            for n in range(args.n_max + 1):
-                for k in range(n + 1):
-                    records.append(
-                        _poly_record(STIRLING_FAMILY_ID, params, n, finish(table.value(n, k)), k=k)
-                    )
-        elif family == "multi-polyexp":
-            params = {"r": len(ks), "ks": list(ks), "argument": None, "lambda": args.lam}
-            series = deg_multi_polyexp(ks, args.n_max)
-            for n in range(args.n_max + 1):
-                records.append(
-                    _poly_record(POLYEXP_FAMILY_ID, params, n, finish(series.coeffs[n]))
-                )
-        else:
-            argument = (
-                "x" if args.arg == "sym-x" else _parse_rational(args.arg, "--arg", parser)
-            )
-            if family == "genocchi":
-                fam = families.genocchi_deg(argument, args.n_max)
-            elif family == "genocchi-r":
-                fam = families.genocchi_deg_order(args.r, argument, args.n_max)
-            elif family == "euler-r":
-                fam = families.euler_deg_order(args.r, argument, args.n_max)
-            elif family == "poly-genocchi":
-                fam = families.poly_genocchi_deg(ks[0], argument, args.n_max)
-            else:
-                fam = families.multi_poly_genocchi_deg(ks, argument, args.n_max)
-            params = {
-                "r": fam.r,
-                "ks": list(fam.ks) if fam.ks else None,
-                "argument": args.arg,
-                "lambda": args.lam,
-            }
-            for n, value in enumerate(fam.values):
-                records.append(_poly_record(fam.family_id, params, n, finish(value)))
+        built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max)
     except ValueError as exc:
         parser.error(str(exc))
+    records = [
+        _poly_record(
+            family_id, params, n, value if lam is None else value.substitute("lambda", lam), k=k
+        )
+        for n, k, value in _entries(built, args.n_max)
+    ]
 
     if args.format == "json":
         text = _render_json({"meta": meta, "records": records})
@@ -262,7 +257,7 @@ def _render_report_text(reports: list[verify_mod.VerifyReport], passed: bool) ->
     for report in reports:
         params = " ".join(f"{key}={_fmt_param(value)}" for key, value in report.params)
         failed = [cell for cell in report.cells if not cell.passed]
-        status = "PASS" if not failed else "FAIL"
+        status = "FAIL" if failed else "VACUOUS" if report.vacuous else "PASS"
         suffix = f" failed={len(failed)}" if failed else ""
         lines.append(f"{status} {report.identity_id} {params} cells={len(report.cells)}{suffix}")
         for cell in failed:

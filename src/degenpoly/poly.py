@@ -18,9 +18,6 @@ import re
 from fractions import Fraction
 from typing import Mapping, Union
 
-# Exact rational scalar type used across the package.
-Rational = Fraction
-
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
 

@@ -36,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import families
 from .degen import (
@@ -54,20 +54,6 @@ from .poly import X, ZERO, MultiPoly, binomial
 from .series import TruncatedSeries
 
 ParamItems = tuple[tuple[str, object], ...]
-
-IDENTITY_IDS = (
-    "Thm1",
-    "Cor2",
-    "Thm3",
-    "Prop4",
-    "Eq15",
-    "Vanishing",
-    "Eq19",
-    "ReductionR1K1",
-    "Eq05",
-    "InverseLogExp",
-    "LambdaZeroClassical",
-)
 
 
 def _json_value(value):
@@ -105,19 +91,48 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(cell.passed for cell in self.cells)
 
+    @property
+    def vacuous(self) -> bool:
+        """True when the report checked nothing (it still counts as passed)."""
+        return not self.cells
+
     def to_dict(self) -> dict:
-        return {
+        d: dict = {
             "identity_id": self.identity_id,
             "params": {k: _json_value(v) for k, v in self.params},
             "passed": self.passed,
-            "cells": [cell.to_dict() for cell in self.cells],
         }
+        if self.vacuous:
+            d["vacuous"] = True
+        d["cells"] = [cell.to_dict() for cell in self.cells]
+        return d
 
 
 def _cell(params: ParamItems, lhs: MultiPoly, rhs: MultiPoly) -> VerifyCell:
     if lhs == rhs:
         return VerifyCell(params, True)
     return VerifyCell(params, False, str(lhs), str(rhs))
+
+
+def _rows(
+    params: ParamItems, lhs: Iterable[MultiPoly], rhs: Iterable[MultiPoly]
+) -> list[VerifyCell]:
+    """One cell per n: ``lhs[n]`` against ``rhs[n]`` under ``params + (("n", n),)``.
+
+    The sides must have equal length, so a miswired checker raises instead of
+    silently checking fewer cells.
+    """
+    pairs = enumerate(zip(lhs, rhs, strict=True))
+    return [_cell(params + (("n", n),), a, b) for n, (a, b) in pairs]
+
+
+def _binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
+    """``sum_l C(n,l) a[l] b[n-l]``; entries past the end of a or b count as zero."""
+    acc = ZERO
+    for l in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
+        if a[l] and b[n - l]:
+            acc = acc + binomial(n, l) * a[l] * b[n - l]
+    return acc
 
 
 class FamilyMemo:
@@ -134,51 +149,45 @@ class FamilyMemo:
         self.corrupt = corrupt
         self._cache: dict = {}
 
-    def _get(self, key, build: Callable):
+    def _family(self, builder: Callable, params: tuple, argument, n_max: int):
+        """``builder(*params, argument, n_max)``, built once per key.
+
+        The key holds the builder, so families that coincide mathematically
+        (``poly_genocchi(k)`` and ``multi_poly_genocchi((k,))``) stay separate
+        entries and can be checked against each other.  ``argument=None``
+        means the builder takes none.
+        """
+        if argument is not None:
+            params = (*params, families._norm_argument(argument))
+        key = (builder, params, n_max)
         value = self._cache.get(key)
         if value is None:
-            value = build()
+            value = builder(*params, n_max)
+            if self.corrupt and builder is families.multi_poly_genocchi_deg and params[-1] == "x":
+                values = list(value.values)
+                values[-1] = values[-1] + 1
+                value = replace(value, values=tuple(values))
             self._cache[key] = value
         return value
 
     def multi_poly_genocchi(self, ks, argument, n_max: int) -> PolyFamily:
         ks = tuple(int(k) for k in ks)
-        arg = families._norm_argument(argument)
-
-        def build() -> PolyFamily:
-            fam = families.multi_poly_genocchi_deg(ks, arg, n_max)
-            if self.corrupt and arg == "x":
-                values = list(fam.values)
-                values[-1] = values[-1] + 1
-                fam = replace(fam, values=tuple(values))
-            return fam
-
-        return self._get(("multi", ks, arg, n_max), build)
+        return self._family(families.multi_poly_genocchi_deg, (ks,), argument, n_max)
 
     def poly_genocchi(self, k: int, argument, n_max: int) -> PolyFamily:
-        arg = families._norm_argument(argument)
-        return self._get(
-            ("poly", k, arg, n_max), lambda: families.poly_genocchi_deg(k, arg, n_max)
-        )
+        return self._family(families.poly_genocchi_deg, (k,), argument, n_max)
 
     def genocchi(self, argument, n_max: int) -> PolyFamily:
-        arg = families._norm_argument(argument)
-        return self._get(("gen", arg, n_max), lambda: families.genocchi_deg(arg, n_max))
+        return self._family(families.genocchi_deg, (), argument, n_max)
 
     def genocchi_order(self, r: int, argument, n_max: int) -> PolyFamily:
-        arg = families._norm_argument(argument)
-        return self._get(
-            ("gen_r", r, arg, n_max), lambda: families.genocchi_deg_order(r, arg, n_max)
-        )
+        return self._family(families.genocchi_deg_order, (r,), argument, n_max)
 
     def euler_order(self, r: int, argument, n_max: int) -> PolyFamily:
-        arg = families._norm_argument(argument)
-        return self._get(
-            ("euler_r", r, arg, n_max), lambda: families.euler_deg_order(r, arg, n_max)
-        )
+        return self._family(families.euler_deg_order, (r,), argument, n_max)
 
     def stirling(self, n_max: int) -> StirlingTable:
-        return self._get(("stirling", n_max), lambda: stirling1_deg_recurrence(n_max))
+        return self._family(stirling1_deg_recurrence, (), None, n_max)
 
 
 def _chain_factors(ks: Sequence[int], stirling: StirlingTable) -> list[MultiPoly]:
@@ -232,13 +241,12 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
         if fam.values[n]:
             cells.append(_cell((("clause", "vanishing"), ("n", n)), fam.values[n], ZERO))
     if n_max >= r:
-        euler = memo.euler_order(r, "x", n_max)
+        euler = memo.euler_order(r, "x", n_max).values
         factors = _chain_factors(ks, memo.stirling(n_max))
-        for n in range(r, n_max + 1):
-            rhs = ZERO
-            for l in range(n - r + 1):
-                rhs = rhs + binomial(n, l) * euler.values[l] * factors[n - l]
-            cells.append(_cell((("n", n),), fam.values[n], rhs))
+        cells += [
+            _cell((("n", n),), fam.values[n], _binomial_convolution(euler, factors, n))
+            for n in range(r, n_max + 1)
+        ]
     return VerifyReport("Thm1", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -252,14 +260,15 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     gen_r = memo.genocchi_order(r, "x", n_max)
     factors = _chain_factors(ks, memo.stirling(n_max))
+    # Eq19 weight: E^(r)_l = G^(r)_{l+r} / (r! C(l+r, l))
     r_fact = math.factorial(r)
-    cells = []
-    for n in range(r, n_max + 1):
-        rhs = ZERO
-        for l in range(n - r + 1):
-            weight = binomial(n, l) / (r_fact * binomial(l + r, l))
-            rhs = rhs + weight * gen_r.values[l + r] * factors[n - l]
-        cells.append(_cell((("n", n),), fam.values[n], rhs))
+    euler = [
+        gen_r.values[l + r] * (1 / (r_fact * binomial(l + r, l))) for l in range(n_max - r + 1)
+    ]
+    cells = [
+        _cell((("n", n),), fam.values[n], _binomial_convolution(euler, factors, n))
+        for n in range(r, n_max + 1)
+    ]
     return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -280,13 +289,10 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
         numbers = memo.euler_order(l, Fraction(0), n_max)
         for m in range(n_max + 1):
             euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
-    cells = []
-    for n in range(r, n_max + 1):
-        rhs = ZERO
-        for m in range(n - r + 1):
-            if euler_mix[m]:
-                rhs = rhs + binomial(n, m) * euler_mix[m] * factors[n - m]
-        cells.append(_cell((("n", n),), fam.values[n], rhs))
+    cells = [
+        _cell((("n", n),), fam.values[n], _binomial_convolution(euler_mix, factors, n))
+        for n in range(r, n_max + 1)
+    ]
     return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -297,13 +303,8 @@ def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     fall_y = [deg_falling_factorial("y", m) for m in range(n_max + 1)]
-    cells = []
-    for n in range(n_max + 1):
-        rhs = ZERO
-        for l in range(n + 1):
-            if fam_x.values[l]:
-                rhs = rhs + binomial(n, l) * fam_x.values[l] * fall_y[n - l]
-        cells.append(_cell((("n", n),), fam_xy.values[n], rhs))
+    rhs = (_binomial_convolution(fam_x.values, fall_y, n) for n in range(n_max + 1))
+    cells = _rows((), fam_xy.values, rhs)
     return VerifyReport("Prop4", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -314,13 +315,8 @@ def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
     fall_x = [deg_falling_factorial("x", m) for m in range(n_max + 1)]
-    cells = []
-    for n in range(n_max + 1):
-        rhs = ZERO
-        for l in range(n + 1):
-            if numbers.values[l]:
-                rhs = rhs + binomial(n, l) * numbers.values[l] * fall_x[n - l]
-        cells.append(_cell((("n", n),), fam_x.values[n], rhs))
+    rhs = (_binomial_convolution(numbers.values, fall_x, n) for n in range(n_max + 1))
+    cells = _rows((), fam_x.values, rhs)
     return VerifyReport("Eq15", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -329,10 +325,8 @@ def check_vanishing(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRep
     ks = _norm_ks(ks)
     memo = memo or FamilyMemo()
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
-    cells = [
-        _cell((("n", n),), fam.values[n], ZERO)
-        for n in range(min(len(ks), n_max + 1))
-    ]
+    lhs = fam.values[: len(ks)]
+    cells = _rows((), lhs, [ZERO] * len(lhs))
     return VerifyReport("Vanishing", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -341,41 +335,30 @@ def check_eq19(n_max: int, r_max: int = 3, memo: FamilyMemo | None = None) -> Ve
     memo = memo or FamilyMemo()
     cells = []
     for r in range(1, r_max + 1):
-        euler = memo.euler_order(r, "x", n_max)
-        gen = memo.genocchi_order(r, "x", n_max + r)
+        euler = memo.euler_order(r, "x", n_max).values
+        gen = memo.genocchi_order(r, "x", n_max + r).values
         scale = math.factorial(r)
-        for n in range(n_max + 1):
-            lhs = euler.values[n] * (scale * binomial(n + r, n))
-            cells.append(_cell((("r", r), ("n", n)), lhs, gen.values[n + r]))
+        lhs = [value * (scale * binomial(n + r, n)) for n, value in enumerate(euler)]
+        cells += _rows((("r", r),), lhs, gen[r:])
     return VerifyReport("Eq19", (("r_max", r_max), ("n_max", n_max)), tuple(cells))
 
 
 def check_reduction(n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Single-index reductions: ks=[1] gives Genocchi, ks=[k] gives poly-Genocchi."""
     memo = memo or FamilyMemo()
-    cells = []
-    multi_one = memo.multi_poly_genocchi((1,), "x", n_max)
-    plain = memo.genocchi("x", n_max)
-    for n in range(n_max + 1):
-        cells.append(
-            _cell((("case", "ks=[1] vs genocchi"), ("n", n)), multi_one.values[n], plain.values[n])
-        )
-    poly_one = memo.poly_genocchi(1, "x", n_max)
-    for n in range(n_max + 1):
-        cells.append(
-            _cell((("case", "k=1 poly vs genocchi"), ("n", n)), poly_one.values[n], plain.values[n])
-        )
+    plain = memo.genocchi("x", n_max).values
+    cells = _rows(
+        (("case", "ks=[1] vs genocchi"),), memo.multi_poly_genocchi((1,), "x", n_max).values, plain
+    )
+    cells += _rows(
+        (("case", "k=1 poly vs genocchi"),), memo.poly_genocchi(1, "x", n_max).values, plain
+    )
     for k in (-2, -1, 0, 1, 2):
-        multi = memo.multi_poly_genocchi((k,), "x", n_max)
-        poly = memo.poly_genocchi(k, "x", n_max)
-        for n in range(n_max + 1):
-            cells.append(
-                _cell(
-                    (("case", "ks=[k] vs poly"), ("k", k), ("n", n)),
-                    multi.values[n],
-                    poly.values[n],
-                )
-            )
+        cells += _rows(
+            (("case", "ks=[k] vs poly"), ("k", k)),
+            memo.multi_poly_genocchi((k,), "x", n_max).values,
+            memo.poly_genocchi(k, "x", n_max).values,
+        )
     return VerifyReport("ReductionR1K1", (("n_max", n_max),), tuple(cells))
 
 
@@ -394,59 +377,41 @@ def _classical_genocchi_numbers(n_max: int) -> list[Fraction]:
     return [c[n] * math.factorial(n) for n in range(n_max + 1)]
 
 
+def _at_lambda0(values: Iterable[MultiPoly]) -> list[MultiPoly]:
+    return [value.substitute("lambda", 0) for value in values]
+
+
 def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyReport]:
     """Base-case reports: Eq05, InverseLogExp and LambdaZeroClassical."""
     memo = memo or FamilyMemo()
     reports = []
 
-    cells = []
-    ei1 = polyexp_modified(1, n_max)
-    for n in range(n_max + 1):
-        expected = MultiPoly.const(Fraction(1, math.factorial(n))) if n else ZERO
-        cells.append(_cell((("case", "Ei_1 = exp - 1"), ("n", n)), ei1.coeffs[n], expected))
-    dei1 = deg_polyexp(1, n_max)
-    dexp_m1 = deg_exp(1, n_max) - 1
-    for n in range(n_max + 1):
-        cells.append(
-            _cell(
-                (("case", "Ei_{1,lambda} = e_lambda - 1"), ("n", n)),
-                dei1.coeffs[n],
-                dexp_m1.coeffs[n],
-            )
-        )
+    exp_m1 = [ZERO] + [MultiPoly.const(Fraction(1, math.factorial(n))) for n in range(1, n_max + 1)]
+    cells = _rows((("case", "Ei_1 = exp - 1"),), polyexp_modified(1, n_max).coeffs, exp_m1)
+    cells += _rows(
+        (("case", "Ei_{1,lambda} = e_lambda - 1"),),
+        deg_polyexp(1, n_max).coeffs,
+        (deg_exp(1, n_max) - 1).coeffs,
+    )
     reports.append(VerifyReport("Eq05", (("n_max", n_max),), tuple(cells)))
 
-    cells = []
     log_series = deg_log(n_max)
-    one_plus_t = TruncatedSeries.t(n_max) + 1
-    exp_of_log = deg_exp(1, n_max).compose(log_series)
-    for n in range(n_max + 1):
-        cells.append(
-            _cell(
-                (("case", "e_lambda(log_lambda(1+t)) = 1+t"), ("n", n)),
-                exp_of_log.coeffs[n],
-                one_plus_t.coeffs[n],
-            )
-        )
-    t_series = TruncatedSeries.t(n_max)
-    polyexp_of_log = deg_polyexp(1, n_max).compose(log_series)
-    for n in range(n_max + 1):
-        cells.append(
-            _cell(
-                (("case", "Ei_{1,lambda}(log_lambda(1+t)) = t"), ("n", n)),
-                polyexp_of_log.coeffs[n],
-                t_series.coeffs[n],
-            )
-        )
-    log_of_exp = log_series.compose(deg_exp(1, n_max) - 1)
-    for n in range(n_max + 1):
-        cells.append(
-            _cell(
-                (("case", "log_lambda(e_lambda(t)) = t"), ("n", n)),
-                log_of_exp.coeffs[n],
-                t_series.coeffs[n],
-            )
-        )
+    t_coeffs = TruncatedSeries.t(n_max).coeffs
+    cells = _rows(
+        (("case", "e_lambda(log_lambda(1+t)) = 1+t"),),
+        deg_exp(1, n_max).compose(log_series).coeffs,
+        (TruncatedSeries.t(n_max) + 1).coeffs,
+    )
+    cells += _rows(
+        (("case", "Ei_{1,lambda}(log_lambda(1+t)) = t"),),
+        deg_polyexp(1, n_max).compose(log_series).coeffs,
+        t_coeffs,
+    )
+    cells += _rows(
+        (("case", "log_lambda(e_lambda(t)) = t"),),
+        log_series.compose(deg_exp(1, n_max) - 1).coeffs,
+        t_coeffs,
+    )
     reports.append(VerifyReport("InverseLogExp", (("n_max", n_max),), tuple(cells)))
 
     cells = []
@@ -458,29 +423,23 @@ def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyRepor
             cells.append(
                 _cell((("case", "stirling1 classical"), ("n", n), ("k", k)), lhs, classical.coeff_x(k))
             )
-    genocchi_numbers = memo.genocchi(Fraction(0), n_max)
-    oracle = _classical_genocchi_numbers(n_max)
-    for n in range(n_max + 1):
-        lhs = genocchi_numbers.values[n].substitute("lambda", 0)
-        cells.append(
-            _cell((("case", "genocchi numbers"), ("n", n)), lhs, MultiPoly.const(oracle[n]))
-        )
+    cells += _rows(
+        (("case", "genocchi numbers"),),
+        _at_lambda0(memo.genocchi(Fraction(0), n_max).values),
+        map(MultiPoly.const, _classical_genocchi_numbers(n_max)),
+    )
     exp_x = deg_exp("x", n_max)
-    for n in range(n_max + 1):
-        lhs = exp_x.egf_coeff(n).substitute("lambda", 0)
-        cells.append(_cell((("case", "deg_exp classical"), ("n", n)), lhs, X**n))
+    cells += _rows(
+        (("case", "deg_exp classical"),),
+        _at_lambda0(exp_x.egf_coeff(n) for n in range(n_max + 1)),
+        (X**n for n in range(n_max + 1)),
+    )
     for k in (-1, 0, 1, 2):
-        deg = deg_polyexp(k, n_max)
-        classical_series = polyexp_modified(k, n_max)
-        for n in range(n_max + 1):
-            lhs = deg.coeffs[n].substitute("lambda", 0)
-            cells.append(
-                _cell(
-                    (("case", "polyexp classical"), ("k", k), ("n", n)),
-                    lhs,
-                    classical_series.coeffs[n],
-                )
-            )
+        cells += _rows(
+            (("case", "polyexp classical"), ("k", k)),
+            _at_lambda0(deg_polyexp(k, n_max).coeffs),
+            polyexp_modified(k, n_max).coeffs,
+        )
     reports.append(VerifyReport("LambdaZeroClassical", (("n_max", n_max),), tuple(cells)))
     return reports
 
@@ -530,8 +489,9 @@ def run_identity(
     """Run one identity (or ``basics`` / ``all``) and return its reports.
 
     ``k_lists`` defaults to :func:`default_k_lists`; default lists whose
-    length exceeds ``n_max`` are skipped, while an explicit infeasible list
-    raises ``ValueError``.
+    length exceeds ``n_max`` are skipped, while an explicit list longer than
+    ``n_max`` still runs and may yield vacuous (zero-cell) reports.  An
+    unknown identity raises ``ValueError``.
     """
     memo = memo or FamilyMemo()
     explicit = k_lists is not None

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, formats, golden files, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from degenpoly.cli import FAMILIES, main
 from degenpoly.poly import parse_poly
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -245,3 +247,84 @@ def test_out_dir_env_override(tmp_path):
     )
     assert proc.returncode == 0
     assert target.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "--family", "genocchi", "--n-max", "2"),
+        ("verify", "--identity", "vanishing", "--ks", "1", "--n-max", "2"),
+    ],
+)
+def test_unwritable_out_exits_2_without_partial_file(args, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    proc = run_cli(*args, "--out", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cannot write --out" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "--family", "genocchi", "--n-max", "2"),
+        ("verify", "--identity", "vanishing", "--ks", "1", "--n-max", "2"),
+    ],
+)
+def test_out_replaces_file_and_leaves_no_temp(args, tmp_path):
+    target = tmp_path / "x.out"
+    target.write_text("stale contents that are longer than nothing\n")
+    proc = run_cli(*args, "--out", str(target))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert target.read_text() == run_cli(*args).stdout
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_verify_vacuous_report_is_labelled():
+    args = ("verify", "--identity", "cor2", "--ks", "1,2,3", "--n-max", "2")
+    text = run_cli(*args)
+    assert text.returncode == 0
+    assert text.stdout.splitlines()[0] == "VACUOUS Cor2 ks=1,2,3 n_max=2 cells=0"
+    data = run_cli(*args, "--format", "json")
+    assert data.returncode == 0
+    (report,) = json.loads(data.stdout)["reports"]
+    assert report["vacuous"] is True and report["passed"] is True
+    # reports with cells carry no vacuous key
+    full = run_cli("verify", "--identity", "cor2", "--ks", "1", "--n-max", "2", "--format", "json")
+    assert "vacuous" not in json.loads(full.stdout)["reports"][0]
+
+
+def test_identity_choices_come_from_verify():
+    from degenpoly import cli, verify
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    identity = next(a for a in sub.choices["verify"]._actions if a.dest == "identity")
+    assert tuple(identity.choices) == verify.IDENTITY_CHOICES
+
+
+def test_verify_vanishing_from_cli():
+    proc = run_cli("verify", "--identity", "vanishing", "--ks", "1,2", "--n-max", "4")
+    assert proc.returncode == 0
+    assert "PASS Vanishing ks=1,2 n_max=4 cells=2" in proc.stdout
+
+
+MINIMAL_FAMILY_ARGS = {
+    "genocchi-r": ["--r", "1"],
+    "euler-r": ["--r", "1"],
+    "poly-genocchi": ["--ks", "1"],
+    "multi-poly-genocchi": ["--ks", "1"],
+    "multi-polyexp": ["--ks", "1"],
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_family_runs_with_minimal_args(family, capsys):
+    argv = ["compute", "--family", family, "--n-max", "2", *MINIMAL_FAMILY_ARGS.get(family, [])]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["meta"]["family"] == family
+    assert {rec["n"] for rec in payload["records"]} == {0, 1, 2}

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.verify import (
     FamilyMemo,
+    _binomial_convolution,
     _classical_genocchi_numbers,
     check_basics,
     check_corollary2,
@@ -213,3 +215,32 @@ def test_run_identity_explicit_infeasible_list_is_honored():
     assert len(reports) == 1
     assert reports[0].cells == ()
     assert reports[0].passed
+
+
+def test_memo_keeps_coinciding_families_apart():
+    memo = FamilyMemo()
+    plain = memo.genocchi("x", 6)
+    order_one = memo.genocchi_order(1, "x", 6)
+    assert plain is not order_one
+    assert plain.values == order_one.values
+    assert memo.poly_genocchi(2, "x", 6) is not memo.multi_poly_genocchi((2,), "x", 6)
+
+
+def test_corrupt_memo_fails_every_multi_vs_poly_reduction():
+    # only the multi-poly-Genocchi entries are corrupted, so each ks=[k]
+    # comparison must fail; a shared cache entry would make it pass
+    report = check_reduction(4, FamilyMemo(corrupt=True))
+    failed_ks = {
+        dict(cell.params)["k"]
+        for cell in report.cells
+        if not cell.passed and dict(cell.params)["case"] == "ks=[k] vs poly"
+    }
+    assert failed_ks == {-2, -1, 0, 1, 2}
+
+
+def test_binomial_convolution_treats_missing_entries_as_zero():
+    a = [MultiPoly.const(c) for c in (1, 2, 3)]
+    b = [MultiPoly.const(c) for c in (5, 7)]
+    # n = 2: C(2,1) a[1] b[1] + C(2,2) a[2] b[0]; a[0] b[2] lies past the end of b
+    assert _binomial_convolution(a, b, 2) == MultiPoly.const(2 * 2 * 7 + 3 * 5)
+    assert _binomial_convolution(a, b, 4) == ZERO
