@@ -283,6 +283,8 @@ def _fmt_param(value) -> str:
 def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     if args.n_max < 0:
         parser.error("--n-max must be nonnegative")
+    if args.identity == "basics" and (args.ks != "sweep" or args.r is not None):
+        parser.error("--identity basics takes no --ks or --r")
     r_filter = _parse_r_filter(args.r, parser) if args.r is not None else None
     if args.ks == "sweep":
         k_lists = None

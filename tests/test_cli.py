@@ -196,6 +196,23 @@ def test_verify_exit_codes(tmp_path):
     assert "lhs:" in bad.stdout and "rhs:" in bad.stdout
 
 
+@pytest.mark.parametrize(
+    "flags", [("--ks", "1,2"), ("--r", "2"), ("--ks", "1", "--r", "1")]
+)
+def test_verify_basics_rejects_ks_and_r(flags):
+    # basics runs no k-list checker, so these flags would be silently ignored
+    proc = run_cli("verify", "--identity", "basics", "--n-max", "2", *flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    message = "degenpoly: error: --identity basics takes no --ks or --r"
+    assert proc.stderr.splitlines()[-1] == message
+
+
+def test_verify_basics_accepts_explicit_sweep():
+    proc = run_cli("verify", "--identity", "basics", "--n-max", "2", "--ks", "sweep")
+    assert proc.returncode == 0
+
+
 def test_verify_thm1_spec_example():
     proc = run_cli("verify", "--identity", "thm1", "--r", "2", "--ks", "1,2", "--n-max", "8")
     assert proc.returncode == 0

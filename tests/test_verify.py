@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly import families
+from degenpoly.degen import stirling1_deg_recurrence
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.verify import (
     FamilyMemo,
@@ -244,3 +246,59 @@ def test_binomial_convolution_treats_missing_entries_as_zero():
     # n = 2: C(2,1) a[1] b[1] + C(2,2) a[2] b[0]; a[0] b[2] lies past the end of b
     assert _binomial_convolution(a, b, 2) == MultiPoly.const(2 * 2 * 7 + 3 * 5)
     assert _binomial_convolution(a, b, 4) == ZERO
+
+
+def _count_multi_builds(monkeypatch) -> list:
+    """Record every multi-poly-Genocchi build the memo makes from now on."""
+    built = []
+    original = families.multi_poly_genocchi_deg
+
+    def counting(ks, argument, n_max):
+        built.append((ks, argument, n_max))
+        return original(ks, argument, n_max)
+
+    monkeypatch.setattr(families, "multi_poly_genocchi_deg", counting)
+    return built
+
+
+def test_memo_serves_lower_orders_from_the_largest_build(monkeypatch):
+    fresh = families.multi_poly_genocchi_deg((1, 2), "x", 4)
+    built = _count_multi_builds(monkeypatch)
+    memo = FamilyMemo()
+    memo.multi_poly_genocchi((1, 2), "x", 6)
+    low = memo.multi_poly_genocchi((1, 2), "x", 4)
+    assert low == fresh
+    assert len(built) == 1
+    memo.multi_poly_genocchi((1, 2), "x", 7)
+    assert [n for _, _, n in built] == [6, 7]
+    memo.stirling(6)
+    assert memo.stirling(4) == stirling1_deg_recurrence(4)
+
+
+def test_full_sweep_builds_each_multi_family_once(monkeypatch):
+    # Prop4 is capped at n_max 8 inside the sweep; at n_max 9 its requests
+    # are served from the n_max 9 builds instead of building again
+    requested = []
+    original = FamilyMemo.multi_poly_genocchi
+
+    def recording(self, ks, argument, n_max):
+        requested.append((tuple(ks), str(argument), n_max))
+        return original(self, ks, argument, n_max)
+
+    monkeypatch.setattr(FamilyMemo, "multi_poly_genocchi", recording)
+    built = _count_multi_builds(monkeypatch)
+    reports = run_identity("all", 9)
+    assert all(report.passed for report in reports)
+    assert len(built) == len({(ks, arg) for ks, arg, _ in requested})
+    assert len(built) < len(set(requested))
+
+
+def test_corrupt_bump_lands_on_the_truncated_top():
+    ks = (1, 2)
+    memo = FamilyMemo(corrupt=True)
+    check_theorem1(ks, 9, memo)  # builds the x family at n_max 9
+    reused = check_prop4(ks, 8, memo)
+    alone = check_prop4(ks, 8, FamilyMemo(corrupt=True))
+    failed = [cell.params for cell in reused.cells if not cell.passed]
+    assert failed == [cell.params for cell in alone.cells if not cell.passed]
+    assert failed == [(("n", 8),)]
