@@ -107,8 +107,10 @@ class TruncatedSeries:
     def __pow__(self, r: int) -> "TruncatedSeries":
         if r < 0:
             raise ValueError("negative series power; use invert() first")
-        out = TruncatedSeries.constant(1, self.order)
-        for _ in range(r):
+        if r == 0:
+            return TruncatedSeries.constant(1, self.order)
+        out = self
+        for _ in range(r - 1):
             out = out * self
         return out
 
@@ -131,18 +133,50 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, g)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute ``inner`` for t; ``inner`` must have zero constant term."""
+        """Substitute ``inner`` for t; ``inner`` must have zero constant term.
+
+        Computes the direct sum ``f(g) = f_0 + sum_{j>=1} f_j g^j``.  Each
+        power ``g^j = g^(j-1) * g`` is built from the previous one, and only
+        its coefficients at ``t^j .. t^N`` are computed, since ``g`` has
+        valuation at least 1 and the lower ones are zero.  ``f_j * g^j`` is
+        added into the result as each power is made; zero ``f_j`` are
+        skipped, and no power is built past the last nonzero ``f_j``.
+
+        This beats Horner's rule ``(..(f_N g + f_{N-1}) g + ..) g + f_0``,
+        which multiplies an accumulator that already carries the outer
+        coefficients by ``g`` N times at full order.  When ``f`` has large
+        coefficients (the lambda polynomials of ``Ei_{k,lambda}`` reach
+        about 150 bits at order 18) every one of those products works on
+        big numbers; here the powers of ``g`` keep small coefficients and
+        each ``f_j`` is multiplied in once.
+        """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
         self._check_order(inner)
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
-        result = TruncatedSeries.constant(self.coeffs[self.order], self.order)
-        for n in range(self.order - 1, -1, -1):
-            result = result * inner
-            if self.coeffs[n]:
-                result = result + self.coeffs[n]
-        return result
+        n = self.order
+        g = inner.coeffs
+        out = [self.coeffs[0]] + [ZERO] * n
+        top = max((j for j in range(1, n + 1) if self.coeffs[j]), default=0)
+        power = g  # g^1
+        for j in range(1, top + 1):
+            if j > 1:
+                # g^j at t^m sums (g^(j-1) at t^i) * (g at t^(m-i)), i >= j-1
+                nxt = [ZERO] * (n + 1)
+                for m in range(j, n + 1):
+                    acc = ZERO
+                    for i in range(j - 1, m):
+                        if power[i] and g[m - i]:
+                            acc = acc + power[i] * g[m - i]
+                    nxt[m] = acc
+                power = nxt
+            fj = self.coeffs[j]
+            if fj:
+                for m in range(j, n + 1):
+                    if power[m]:
+                        out[m] = out[m] + fj * power[m]
+        return TruncatedSeries(n, out)
 
     def egf_coeff(self, n: int) -> MultiPoly:
         """n-th exponential generating coefficient, ``n! * c_n``."""

@@ -274,7 +274,8 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
     if n_max < r:
         return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), ())
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
-    gen_r = memo.genocchi_order(r, "x", n_max)
+    # built at n_max + r, the order Eq19 asks for, so one build serves both
+    gen_r = memo.genocchi_order(r, "x", n_max + r)
     factors = _chain_factors(ks, memo.stirling(n_max))
     # Eq19 weight: E^(r)_l = G^(r)_{l+r} / (r! C(l+r, l))
     r_fact = math.factorial(r)
@@ -352,8 +353,6 @@ def check_eq19(n_max: int, r_max: int = 3, memo: FamilyMemo | None = None) -> Ve
     cells = []
     for r in range(1, r_max + 1):
         euler = memo.euler_order(r, "x", n_max).values
-        # Cor2 runs first and asks for this family at n_max, so in a full
-        # sweep the longer order here builds it a second time
         gen = memo.genocchi_order(r, "x", n_max + r).values
         scale = math.factorial(r)
         lhs = [value * (scale * binomial(n + r, n)) for n, value in enumerate(euler)]

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from degenpoly import poly
 from degenpoly.poly import LAM, X, MultiPoly
+from degenpoly.series import TruncatedSeries
 from degenpoly.verify import FamilyMemo
 
 
@@ -16,6 +17,11 @@ def test_traced_multipoly_methods_are_in_the_class_dict():
     for name in ("__add__", "__radd__", "__mul__", "__rmul__", "substitute"):
         assert callable(MultiPoly.__dict__.get(name)), name
     assert callable(poly.render_poly)
+
+
+def test_traced_series_methods_are_in_the_class_dict():
+    for name in ("__mul__", "__rmul__", "__pow__", "invert", "compose"):
+        assert callable(TruncatedSeries.__dict__.get(name)), name
 
 
 def test_traced_memo_methods_are_in_the_class_dict():

@@ -119,6 +119,7 @@ def test_compose_requires_zero_constant_term():
 def test_pow():
     t = TruncatedSeries.t(4) + 1
     assert t**0 == TruncatedSeries.constant(1, 4)
+    assert t**1 == t
     assert t**3 == t * t * t
     with pytest.raises(ValueError):
         t**-2

@@ -302,3 +302,20 @@ def test_corrupt_bump_lands_on_the_truncated_top():
     failed = [cell.params for cell in reused.cells if not cell.passed]
     assert failed == [cell.params for cell in alone.cells if not cell.passed]
     assert failed == [(("n", 8),)]
+
+
+def test_full_sweep_builds_each_genocchi_order_family_once(monkeypatch):
+    # Cor2 asks at n_max + r, the order Eq19 needs, so Eq19 is served by
+    # truncation instead of building the family again
+    built = []
+    original = families.genocchi_deg_order
+
+    def counting(r, argument, n_max):
+        built.append((r, argument, n_max))
+        return original(r, argument, n_max)
+
+    monkeypatch.setattr(families, "genocchi_deg_order", counting)
+    reports = run_identity("all", 8)
+    assert all(report.passed for report in reports)
+    at_x = [(r, argument) for r, argument, _ in built if argument == "x"]
+    assert sorted(at_x) == [(1, "x"), (2, "x"), (3, "x")]
