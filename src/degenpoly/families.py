@@ -1,7 +1,9 @@
 """Degenerate Genocchi-type polynomial families from generating functions.
 
-Each constructor assembles the exponential generating function of a family
-as an exact truncated series and reads off the values ``n! * c_n``:
+Every family's exponential generating function is a kernel series times
+``e_lambda^arg(t)``.  Each constructor builds its kernel as an exact
+truncated series, and one shared assembly multiplies it by
+``e_lambda^arg(t)`` and reads off the values ``n! * c_n``:
 
 * ``genocchi_deg``: degenerate Genocchi, ``2t / (e_lambda(t) + 1) * e_lambda^x(t)``
 * ``genocchi_deg_order``: order-r version with ``(2t / (e_lambda(t) + 1))^r``
@@ -61,48 +63,48 @@ class PolyFamily:
     ks: tuple[int, ...] | None = None
 
 
-def _egf_values(gen: TruncatedSeries) -> tuple[MultiPoly, ...]:
-    return tuple(gen.egf_coeff(n) for n in range(gen.order + 1))
+def _two_over_exp_plus_one(order: int) -> TruncatedSeries:
+    """``2 / (e_lambda(t) + 1)``, the factor every kernel is built from."""
+    return (deg_exp(1, order) + 1).invert() * 2
 
 
-def _one_plus_exp_inverse(order: int) -> TruncatedSeries:
-    return (deg_exp(1, order) + 1).invert()
+def _family(
+    family_id: str, kernel: TruncatedSeries, argument: Argument, n_max: int, **fields
+) -> PolyFamily:
+    """The family whose egf is ``kernel * e_lambda^argument(t)``."""
+    arg = _norm_argument(argument)
+    gen = kernel * deg_exp(arg, n_max)
+    values = tuple(gen.egf_coeff(n) for n in range(n_max + 1))
+    return PolyFamily(family_id, arg, n_max, values, **fields)
 
 
 def genocchi_deg(argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate Genocchi polynomials ``G_{n,lambda}(argument)``."""
-    arg = _norm_argument(argument)
-    gen = (TruncatedSeries.t(n_max) * 2) * _one_plus_exp_inverse(n_max)
-    gen = gen * deg_exp(arg, n_max)
-    return PolyFamily(GENOCCHI, arg, n_max, _egf_values(gen))
+    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one(n_max)
+    return _family(GENOCCHI, kernel, argument, n_max)
 
 
 def genocchi_deg_order(r: int, argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate Genocchi polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    arg = _norm_argument(argument)
-    base = (TruncatedSeries.t(n_max) * 2) * _one_plus_exp_inverse(n_max)
-    gen = base**r * deg_exp(arg, n_max)
-    return PolyFamily(GENOCCHI_ORDER, arg, n_max, _egf_values(gen), r=r)
+    kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one(n_max)) ** r
+    return _family(GENOCCHI_ORDER, kernel, argument, n_max, r=r)
 
 
 def euler_deg_order(r: int, argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate Euler polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    arg = _norm_argument(argument)
-    base = _one_plus_exp_inverse(n_max) * 2
-    gen = base**r * deg_exp(arg, n_max)
-    return PolyFamily(EULER_ORDER, arg, n_max, _egf_values(gen), r=r)
+    kernel = _two_over_exp_plus_one(n_max) ** r
+    return _family(EULER_ORDER, kernel, argument, n_max, r=r)
 
 
 def poly_genocchi_deg(k: int, argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate poly-Genocchi polynomials ``g_{n,lambda}^{(k)}(argument)``."""
-    arg = _norm_argument(argument)
     num = deg_polyexp(k, n_max).compose(deg_log(n_max))
-    gen = num * 2 * _one_plus_exp_inverse(n_max) * deg_exp(arg, n_max)
-    return PolyFamily(POLY_GENOCCHI, arg, n_max, _egf_values(gen), ks=(int(k),))
+    kernel = num * _two_over_exp_plus_one(n_max)
+    return _family(POLY_GENOCCHI, kernel, argument, n_max, ks=(int(k),))
 
 
 def multi_poly_genocchi_deg(
@@ -110,13 +112,9 @@ def multi_poly_genocchi_deg(
 ) -> PolyFamily:
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
     ks = tuple(int(k) for k in ks)
-    if not ks:
-        raise ValueError("need at least one polyexponential index")
-    r = len(ks)
-    arg = _norm_argument(argument)
     num = deg_multi_polyexp(ks, n_max).compose(deg_log(n_max))
-    gen = num * (2**r) * _one_plus_exp_inverse(n_max) ** r * deg_exp(arg, n_max)
-    return PolyFamily(MULTI_POLY_GENOCCHI, arg, n_max, _egf_values(gen), r=r, ks=ks)
+    kernel = num * _two_over_exp_plus_one(n_max) ** len(ks)
+    return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, r=len(ks), ks=ks)
 
 
 def expand_in_deg_falling_basis(family: PolyFamily) -> list[list[MultiPoly]]:

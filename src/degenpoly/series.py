@@ -70,24 +70,14 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries(
-                self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-            )
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            coeffs = list(self.coeffs)
-            coeffs[0] = coeffs[0] - _as_poly(other)
-            return TruncatedSeries(self.order, coeffs)
-        return NotImplemented
+        return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (MultiPoly, int, Fraction)):
-            scale = other if isinstance(other, MultiPoly) else Fraction(other)
-            return TruncatedSeries(self.order, [c * scale for c in self.coeffs])
+            return TruncatedSeries(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
@@ -135,20 +125,13 @@ class TruncatedSeries:
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute ``inner`` for t; ``inner`` must have zero constant term.
 
-        Computes the direct sum ``f(g) = f_0 + sum_{j>=1} f_j g^j``.  Each
-        power ``g^j = g^(j-1) * g`` is built from the previous one, and only
-        its coefficients at ``t^j .. t^N`` are computed, since ``g`` has
-        valuation at least 1 and the lower ones are zero.  ``f_j * g^j`` is
-        added into the result as each power is made; zero ``f_j`` are
-        skipped, and no power is built past the last nonzero ``f_j``.
-
-        This beats Horner's rule ``(..(f_N g + f_{N-1}) g + ..) g + f_0``,
-        which multiplies an accumulator that already carries the outer
-        coefficients by ``g`` N times at full order.  When ``f`` has large
-        coefficients (the lambda polynomials of ``Ei_{k,lambda}`` reach
-        about 150 bits at order 18) every one of those products works on
-        big numbers; here the powers of ``g`` keep small coefficients and
-        each ``f_j`` is multiplied in once.
+        Computes the sum ``f(g) = f_0 + sum_{j>=1} f_j g^j`` through the
+        series product: each power ``g^j = g^(j-1) * g`` is made from the
+        previous one and ``g^j * f_j`` is added into the result.  Since ``g``
+        has valuation at least 1, ``g^(j-1)`` is zero below ``t^(j-1)``; the
+        product skips zero rows, so each power costs only its coefficients
+        from ``t^j`` up.  Zero ``f_j`` are skipped, and no power is built
+        past the last nonzero ``f_j``.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
@@ -156,27 +139,15 @@ class TruncatedSeries:
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
         n = self.order
-        g = inner.coeffs
-        out = [self.coeffs[0]] + [ZERO] * n
+        out = TruncatedSeries.constant(self.coeffs[0], n)
         top = max((j for j in range(1, n + 1) if self.coeffs[j]), default=0)
-        power = g  # g^1
+        power = inner
         for j in range(1, top + 1):
             if j > 1:
-                # g^j at t^m sums (g^(j-1) at t^i) * (g at t^(m-i)), i >= j-1
-                nxt = [ZERO] * (n + 1)
-                for m in range(j, n + 1):
-                    acc = ZERO
-                    for i in range(j - 1, m):
-                        if power[i] and g[m - i]:
-                            acc = acc + power[i] * g[m - i]
-                    nxt[m] = acc
-                power = nxt
-            fj = self.coeffs[j]
-            if fj:
-                for m in range(j, n + 1):
-                    if power[m]:
-                        out[m] = out[m] + fj * power[m]
-        return TruncatedSeries(n, out)
+                power = power * inner
+            if self.coeffs[j]:
+                out = out + power * self.coeffs[j]
+        return out
 
     def egf_coeff(self, n: int) -> MultiPoly:
         """n-th exponential generating coefficient, ``n! * c_n``."""

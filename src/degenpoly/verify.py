@@ -187,8 +187,7 @@ class FamilyMemo:
         return value
 
     def multi_poly_genocchi(self, ks, argument, n_max: int) -> PolyFamily:
-        ks = tuple(int(k) for k in ks)
-        return self._family(families.multi_poly_genocchi_deg, (ks,), argument, n_max)
+        return self._family(families.multi_poly_genocchi_deg, (_norm_ks(ks),), argument, n_max)
 
     def poly_genocchi(self, k: int, argument, n_max: int) -> PolyFamily:
         return self._family(families.poly_genocchi_deg, (k,), argument, n_max)
@@ -235,11 +234,21 @@ def _chain_factors(ks: Sequence[int], stirling: StirlingTable) -> list[MultiPoly
     return factors
 
 
+def _chain_cells(ks, lhs, weights, memo: FamilyMemo, n_max: int) -> list[VerifyCell]:
+    """Thm1/Cor2/Thm3 cells for n = r..n_max.
+
+    Each checks ``lhs[n]`` against ``sum_l C(n,l) weights[l] factors[n-l]``
+    over the chain factors of ``ks``.
+    """
+    factors = _chain_factors(ks, memo.stirling(n_max))
+    return [
+        _cell((("n", n),), lhs[n], _binomial_convolution(weights, factors, n))
+        for n in range(len(ks), n_max + 1)
+    ]
+
+
 def _norm_ks(ks) -> tuple[int, ...]:
-    ks = tuple(int(k) for k in ks)
-    if not ks:
-        raise ValueError("need at least one polyexponential index")
-    return ks
+    return tuple(int(k) for k in ks)
 
 
 def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
@@ -258,11 +267,7 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
             cells.append(_cell((("clause", "vanishing"), ("n", n)), fam.values[n], ZERO))
     if n_max >= r:
         euler = memo.euler_order(r, "x", n_max).values
-        factors = _chain_factors(ks, memo.stirling(n_max))
-        cells += [
-            _cell((("n", n),), fam.values[n], _binomial_convolution(euler, factors, n))
-            for n in range(r, n_max + 1)
-        ]
+        cells += _chain_cells(ks, fam.values, euler, memo, n_max)
     return VerifyReport("Thm1", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -276,16 +281,12 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     # built at n_max + r, the order Eq19 asks for, so one build serves both
     gen_r = memo.genocchi_order(r, "x", n_max + r)
-    factors = _chain_factors(ks, memo.stirling(n_max))
     # Eq19 weight: E^(r)_l = G^(r)_{l+r} / (r! C(l+r, l))
     r_fact = math.factorial(r)
     euler = [
         gen_r.values[l + r] * (1 / (r_fact * binomial(l + r, l))) for l in range(n_max - r + 1)
     ]
-    cells = [
-        _cell((("n", n),), fam.values[n], _binomial_convolution(euler, factors, n))
-        for n in range(r, n_max + 1)
-    ]
+    cells = _chain_cells(ks, fam.values, euler, memo, n_max)
     return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -297,7 +298,6 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
     if n_max < r:
         return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), ())
     fam = memo.multi_poly_genocchi(ks, Fraction(r), n_max)
-    factors = _chain_factors(ks, memo.stirling(n_max))
     # euler_mix[m] = sum_{l=0}^{r} C(r,l) (-1)^l 2^(r-l) E^(l)_m, order 0 giving delta_{m,0}
     euler_mix: list[MultiPoly] = [ZERO] * (n_max + 1)
     euler_mix[0] = MultiPoly.const(2**r)
@@ -306,10 +306,7 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
         numbers = memo.euler_order(l, Fraction(0), n_max)
         for m in range(n_max + 1):
             euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
-    cells = [
-        _cell((("n", n),), fam.values[n], _binomial_convolution(euler_mix, factors, n))
-        for n in range(r, n_max + 1)
-    ]
+    cells = _chain_cells(ks, fam.values, euler_mix, memo, n_max)
     return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 

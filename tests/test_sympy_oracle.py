@@ -1,49 +1,84 @@
-"""Composition checked against sympy, from the paper's definitions.
+"""Composition and the families checked against sympy, from the paper's definitions.
 
 ``Ei_{k,lambda}(log_lambda(1+t))`` is expanded in sympy from scratch:
 ``log_lambda(1+t) = ((1+t)^lambda - 1)/lambda`` has the coefficients
 ``(lambda-1)_{n-1} / n!`` (falling factorial), ``Ei_{k,lambda}`` has
 ``(1)_{n,lambda} / ((n-1)! n^k)``, and the powers of the logarithm are
-``sympy.Poly`` products truncated at ``t^N``.  None of it goes through
-``degenpoly``'s series or polynomial arithmetic.
+``sympy.Poly`` products truncated at ``t^N``.  The families are checked
+without a series inversion: each egf times ``(e_lambda(t) + 1)^r`` must be
+the paper's numerator times ``e_lambda^x(t)``, with ``Ei_{(k_1..k_r),lambda}``
+summed over explicit chains ``0 < n_1 < ... < n_r``.  None of it goes
+through ``degenpoly``'s series or polynomial arithmetic.
 """
+
+import itertools
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from degenpoly import families
 from degenpoly.degen import deg_log, deg_polyexp
 
 N = 8
-LAM, T = sympy.symbols("lambda t")
+LAM, T, X, Y = sympy.symbols("lambda t x y")
 
 
-def truncated(p):
-    """``p`` without its terms above ``t^N``."""
-    return p.rem(sympy.Poly(T ** (N + 1), T))
+def truncated(p, order=N):
+    """``p`` without its terms above ``t^order``."""
+    return p.rem(sympy.Poly(T ** (order + 1), T))
 
 
-def deg_log_poly():
-    coeffs = [sympy.ff(LAM - 1, n - 1) / sympy.factorial(n) for n in range(1, N + 1)]
+def deg_log_poly(order=N):
+    coeffs = [sympy.ff(LAM - 1, n - 1) / sympy.factorial(n) for n in range(1, order + 1)]
     return sympy.Poly(sum(c * T**n for n, c in enumerate(coeffs, 1)), T)
+
+
+def deg_exp_poly(w, order):
+    """``e_lambda^w(t) = (1 + lambda t)^(w/lambda)``: ``(w)_{n,lambda} / n!`` at ``t^n``."""
+    terms = (
+        sympy.prod([w - i * LAM for i in range(n)]) / sympy.factorial(n) * T**n
+        for n in range(order + 1)
+    )
+    return sympy.Poly(sum(terms), T)
+
+
+def of_log(coeffs, order=N):
+    """``sum_{n>=1} coeffs[n] log_lambda(1+t)^n`` up to ``t^order``."""
+    log = deg_log_poly(order)
+    power = sympy.Poly(1, T, domain=log.domain)
+    total = sympy.Poly(0, T, domain=log.domain)
+    for n in range(1, order + 1):
+        power = truncated(power * log, order)
+        total += power * coeffs[n]
+    return total
+
+
+def polyexp_term(n, k):
+    """``(1)_{n,lambda} / ((n-1)! n^k)``."""
+    rising = sympy.prod([1 - i * LAM for i in range(n)])  # (1)_{n,lambda}
+    return rising / (sympy.factorial(n - 1) * sympy.Integer(n) ** k)
 
 
 def polyexp_of_log(k: int):
     """``Ei_{k,lambda}(log_lambda(1+t))`` up to ``t^N``."""
-    log = deg_log_poly()
-    power = sympy.Poly(1, T, domain=log.domain)
-    total = sympy.Poly(0, T, domain=log.domain)
-    for n in range(1, N + 1):
-        power = truncated(power * log)
-        rising = sympy.prod([1 - i * LAM for i in range(n)])  # (1)_{n,lambda}
-        total += power * (rising / (sympy.factorial(n - 1) * sympy.Integer(n) ** k))
-    return total
+    return of_log([0] + [polyexp_term(n, k) for n in range(1, N + 1)])
+
+
+def multi_polyexp_coeffs(ks, order):
+    """``Ei_{(k_1..k_r),lambda}`` coefficients, one chain ``0 < n_1 < ... < n_r`` at a time."""
+    coeffs = [sympy.Integer(0)] * (order + 1)
+    for chain in itertools.combinations(range(1, order + 1), len(ks)):
+        coeffs[chain[-1]] += sympy.prod([polyexp_term(n, k) for n, k in zip(chain, ks)])
+    return coeffs
 
 
 def to_sympy(p):
-    assert all(b == 0 and c == 0 for _, b, c in p.terms)
     return sum(
-        (sympy.Rational(q.numerator, q.denominator) * LAM**a for (a, _, _), q in p.terms.items()),
+        (
+            sympy.Rational(q.numerator, q.denominator) * LAM**a * X**b * Y**c
+            for (a, b, c), q in p.terms.items()
+        ),
         sympy.Integer(0),
     )
 
@@ -62,3 +97,41 @@ def test_polyexp_of_log_matches_sympy(k):
     composed = deg_polyexp(k, N).compose(deg_log(N))
     for m, coeff in enumerate(composed.coeffs):
         assert sympy.expand(to_sympy(coeff) - expected.coeff_monomial(T**m)) == 0, m
+
+
+FAMILY_N = 6
+
+
+def multi_numerator(ks):
+    """``2^r Ei_{(k_1..k_r),lambda}(log_lambda(1+t))`` up to ``t^FAMILY_N``."""
+    return of_log(multi_polyexp_coeffs(ks, FAMILY_N), FAMILY_N) * 2 ** len(ks)
+
+
+# (builder, its leading parameters, r, the paper's numerator over (e_lambda(t) + 1)^r)
+FAMILY_CASES = [
+    ("genocchi_deg", (), 1, lambda: 2 * T),
+    ("genocchi_deg_order", (1,), 1, lambda: 2 * T),
+    ("genocchi_deg_order", (2,), 2, lambda: (2 * T) ** 2),
+    ("euler_deg_order", (1,), 1, lambda: 2),
+    ("euler_deg_order", (2,), 2, lambda: 4),
+    ("poly_genocchi_deg", (2,), 1, lambda: multi_numerator((2,))),
+    ("multi_poly_genocchi_deg", ((1, 2),), 2, lambda: multi_numerator((1, 2))),
+    ("multi_poly_genocchi_deg", ((-1, 1, 2),), 3, lambda: multi_numerator((-1, 1, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "builder, params, r, numerator",
+    FAMILY_CASES,
+    ids=[f"{builder}{params}".replace(" ", "") for builder, params, _, _ in FAMILY_CASES],
+)
+def test_family_egf_matches_the_paper_generating_function(builder, params, r, numerator):
+    fam = getattr(families, builder)(*params, "x", FAMILY_N)
+    egf = sympy.Poly(
+        sum(to_sympy(v) * T**n / sympy.factorial(n) for n, v in enumerate(fam.values)), T
+    )
+    lhs = truncated(egf * (deg_exp_poly(1, FAMILY_N) + 1) ** r, FAMILY_N)
+    rhs = truncated(sympy.Poly(numerator(), T) * deg_exp_poly(X, FAMILY_N), FAMILY_N)
+    for m in range(FAMILY_N + 1):
+        diff = lhs.coeff_monomial(T**m) - rhs.coeff_monomial(T**m)
+        assert sympy.expand(diff) == 0, m
