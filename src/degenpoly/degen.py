@@ -3,7 +3,8 @@
 Everything here is parameterized by the deformation symbol lambda and
 reduces to a classical object at lambda = 0:
 
-* degenerate falling factorial ``(w)_{n,lambda} = w (w - lambda) ... (w - (n-1) lambda)``
+* degenerate falling factorial ``(w)_{n,lambda} = w (w - lambda) ... (w - (n-1) lambda)``,
+  singly or as the list ``(w)_{0..n,lambda}``
 * degenerate exponential ``e_lambda^w(t) = (1 + lambda t)^{w/lambda}``,
   whose egf coefficients are the falling factorials
 * degenerate logarithm ``log_lambda(1 + t)``, the compositional inverse of
@@ -45,15 +46,20 @@ def _base_poly(base: Weight) -> MultiPoly:
     return MultiPoly.const(Fraction(base))
 
 
-def deg_falling_factorial(base: Weight, n: int) -> MultiPoly:
-    """Degenerate falling factorial ``(base)_{n,lambda}``; 1 when n = 0."""
-    if n < 0:
+def deg_falling_factorials(base: Weight, n_max: int) -> list[MultiPoly]:
+    """``(base)_{m,lambda}`` for m = 0..n_max, in one running product."""
+    if n_max < 0:
         raise ValueError("falling factorial needs n >= 0")
     b = _base_poly(base)
-    out = ONE
-    for i in range(n):
-        out = out * (b - LAM * i)
+    out = [ONE]
+    for i in range(n_max):
+        out.append(out[-1] * (b - LAM * i))
     return out
+
+
+def deg_falling_factorial(base: Weight, n: int) -> MultiPoly:
+    """Degenerate falling factorial ``(base)_{n,lambda}``; 1 when n = 0."""
+    return deg_falling_factorials(base, n)[n]
 
 
 def classical_falling_factorial(n: int) -> MultiPoly:

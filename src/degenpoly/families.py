@@ -17,19 +17,27 @@ The argument may be the symbol ``"x"``, the sum ``"x+y"``, or an exact
 rational (0 gives the number family).  ``multi_poly_genocchi_deg`` with a
 single index k equals ``poly_genocchi_deg(k, ...)``, and with k = 1 both
 collapse to ``genocchi_deg``.
+
+Inside :func:`sharing` (a memo's builder calls), the builders take
+``2 / (e_lambda(t) + 1)``, its powers and the powers of ``log_lambda(1+t)``
+from that memo's :class:`SubSeriesStore`, each built once at the largest
+order asked for; outside it, every build makes its own.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar, Union
 
-from .degen import deg_exp, deg_falling_factorial, deg_log, deg_multi_polyexp, deg_polyexp
+from .degen import deg_exp, deg_falling_factorials, deg_log, deg_multi_polyexp, deg_polyexp
 from .poly import ZERO, MultiPoly
 from .series import TruncatedSeries
 
 Argument = Union[str, int, Fraction]
+T = TypeVar("T")
 
 GENOCCHI = "GenocchiDeg"
 GENOCCHI_ORDER = "GenocchiDegOrderR"
@@ -63,9 +71,82 @@ class PolyFamily:
     ks: tuple[int, ...] | None = None
 
 
+class SubSeriesStore:
+    """Values built once per key, at the largest order asked for so far.
+
+    A request at or below that order is served by cutting the stored value
+    down, since the low coefficients of a truncated series do not depend on
+    where it is cut; a larger order builds the value again.  One store
+    belongs to one :class:`~degenpoly.verify.FamilyMemo`, which keeps its
+    families, chain sums and the sub-series its family builds share in it.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[Hashable, tuple[int, Any]] = {}
+
+    def get(
+        self,
+        key: Hashable,
+        order: int,
+        build: Callable[[int], T],
+        cut: Callable[[T, int], T],
+    ) -> T:
+        """The value under ``key`` at ``order``: ``build(order)``, or ``cut(stored, order)``."""
+        entry = self._entries.get(key)
+        if entry is None or entry[0] < order:
+            entry = (order, build(order))
+            self._entries[key] = entry
+        built_order, value = entry
+        return value if built_order == order else cut(value, order)
+
+
+# The store of the memo whose builder call is running, if any.  Builders
+# called outside a memo see None and build every sub-series themselves.
+_STORE: ContextVar[SubSeriesStore | None] = ContextVar("degenpoly_sub_series", default=None)
+
+
+@contextmanager
+def sharing(store: SubSeriesStore) -> Iterator[None]:
+    """Let the family builders called in this block share sub-series through ``store``."""
+    token = _STORE.set(store)
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def _shared_series(key: Hashable, order: int, build: Callable[[int], TruncatedSeries]):
+    """``build(order)``, or the active store's copy of it."""
+    store = _STORE.get()
+    if store is None:
+        return build(order)
+    return store.get(key, order, build, TruncatedSeries.truncate)
+
+
+def _truncate_powers(powers: tuple[TruncatedSeries, ...], order: int):
+    return tuple(power.truncate(order) for power in powers[:order])
+
+
 def _two_over_exp_plus_one(order: int) -> TruncatedSeries:
     """``2 / (e_lambda(t) + 1)``, the factor every kernel is built from."""
     return (deg_exp(1, order) + 1).invert() * 2
+
+
+def _two_over_exp_plus_one_power(r: int, order: int) -> TruncatedSeries:
+    """``(2 / (e_lambda(t) + 1))^r``, shared by the Euler and multi-poly kernels."""
+    base = _shared_series("2/(e+1)", order, _two_over_exp_plus_one)
+    return _shared_series(("2/(e+1)", r), order, lambda _: base**r)
+
+
+def _compose_with_log(outer: TruncatedSeries) -> TruncatedSeries:
+    """``outer(log_lambda(1+t))``; inside a memo, the log and its powers come from its store."""
+    order = outer.order
+    store = _STORE.get()
+    if store is None:
+        return outer.compose(deg_log(order))
+    log = store.get("log", order, deg_log, TruncatedSeries.truncate)
+    powers = store.get("log powers", order, lambda _: log.powers(order), _truncate_powers)
+    return outer.compose(log, powers)
 
 
 def _family(
@@ -80,7 +161,7 @@ def _family(
 
 def genocchi_deg(argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate Genocchi polynomials ``G_{n,lambda}(argument)``."""
-    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one(n_max)
+    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max)
     return _family(GENOCCHI, kernel, argument, n_max)
 
 
@@ -88,7 +169,8 @@ def genocchi_deg_order(r: int, argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate Genocchi polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one(n_max)) ** r
+    # (2t/(e+1))^r, not t^r times the Euler kernel: Eq19 checks one against the other
+    kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max)) ** r
     return _family(GENOCCHI_ORDER, kernel, argument, n_max, r=r)
 
 
@@ -96,14 +178,14 @@ def euler_deg_order(r: int, argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate Euler polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    kernel = _two_over_exp_plus_one(n_max) ** r
+    kernel = _two_over_exp_plus_one_power(r, n_max)
     return _family(EULER_ORDER, kernel, argument, n_max, r=r)
 
 
 def poly_genocchi_deg(k: int, argument: Argument, n_max: int) -> PolyFamily:
     """Degenerate poly-Genocchi polynomials ``g_{n,lambda}^{(k)}(argument)``."""
-    num = deg_polyexp(k, n_max).compose(deg_log(n_max))
-    kernel = num * _two_over_exp_plus_one(n_max)
+    num = _compose_with_log(deg_polyexp(k, n_max))
+    kernel = num * _two_over_exp_plus_one_power(1, n_max)
     return _family(POLY_GENOCCHI, kernel, argument, n_max, ks=(int(k),))
 
 
@@ -112,8 +194,8 @@ def multi_poly_genocchi_deg(
 ) -> PolyFamily:
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
     ks = tuple(int(k) for k in ks)
-    num = deg_multi_polyexp(ks, n_max).compose(deg_log(n_max))
-    kernel = num * _two_over_exp_plus_one(n_max) ** len(ks)
+    num = _compose_with_log(deg_multi_polyexp(ks, n_max))
+    kernel = num * _two_over_exp_plus_one_power(len(ks), n_max)
     return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, r=len(ks), ks=ks)
 
 
@@ -129,7 +211,7 @@ def expand_in_deg_falling_basis(family: PolyFamily) -> list[list[MultiPoly]]:
     """
     if family.argument != "x":
         raise ValueError("basis expansion needs a family built at argument 'x'")
-    basis = [deg_falling_factorial("x", m) for m in range(family.n_max + 1)]
+    basis = deg_falling_factorials("x", family.n_max)
     out: list[list[MultiPoly]] = []
     for n, value in enumerate(family.values):
         coeffs: list[MultiPoly] = [ZERO] * (n + 1)

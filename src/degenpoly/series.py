@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .poly import MultiPoly, ZERO
 
@@ -122,16 +122,29 @@ class TruncatedSeries:
             g.append(acc * (-inv0))
         return TruncatedSeries(self.order, g)
 
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
+    def powers(self, count: int) -> tuple["TruncatedSeries", ...]:
+        """``(self, self^2, ..., self^count)``, each power made from the one before.
+
+        When ``self`` has valuation at least 1, ``self^(j-1)`` is zero below
+        ``t^(j-1)``; the product skips zero rows, so each power costs only
+        its coefficients from ``t^j`` up.
+        """
+        out: list[TruncatedSeries] = []
+        for _ in range(count):
+            out.append(out[-1] * self if out else self)
+        return tuple(out)
+
+    def compose(
+        self, inner: "TruncatedSeries", powers: Sequence["TruncatedSeries"] | None = None
+    ) -> "TruncatedSeries":
         """Substitute ``inner`` for t; ``inner`` must have zero constant term.
 
         Computes the sum ``f(g) = f_0 + sum_{j>=1} f_j g^j`` through the
-        series product: each power ``g^j = g^(j-1) * g`` is made from the
-        previous one and ``g^j * f_j`` is added into the result.  Since ``g``
-        has valuation at least 1, ``g^(j-1)`` is zero below ``t^(j-1)``; the
-        product skips zero rows, so each power costs only its coefficients
-        from ``t^j`` up.  Zero ``f_j`` are skipped, and no power is built
-        past the last nonzero ``f_j``.
+        series product and sum, skipping zero ``f_j``.  The powers ``g^j``
+        come from :meth:`powers`, up to the last nonzero ``f_j``; a caller
+        that composes several series with one ``g`` may pass them as
+        ``powers`` (``powers[j - 1]`` is ``g^j``, at this order) to build
+        them once.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
@@ -141,12 +154,11 @@ class TruncatedSeries:
         n = self.order
         out = TruncatedSeries.constant(self.coeffs[0], n)
         top = max((j for j in range(1, n + 1) if self.coeffs[j]), default=0)
-        power = inner
+        if powers is None:
+            powers = inner.powers(top)
         for j in range(1, top + 1):
-            if j > 1:
-                power = power * inner
             if self.coeffs[j]:
-                out = out + power * self.coeffs[j]
+                out = out + powers[j - 1] * self.coeffs[j]
         return out
 
     def egf_coeff(self, n: int) -> MultiPoly:

@@ -36,6 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import families
@@ -43,7 +44,7 @@ from .degen import (
     StirlingTable,
     classical_falling_factorial,
     deg_exp,
-    deg_falling_factorial,
+    deg_falling_factorials,
     deg_log,
     deg_polyexp,
     polyexp_modified,
@@ -137,20 +138,29 @@ def _binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int
 
 def _truncate(table: PolyFamily | StirlingTable, n_max: int) -> PolyFamily | StirlingTable:
     """The same table cut down to ``n_max``."""
-    if table.n_max == n_max:
-        return table
     if isinstance(table, StirlingTable):
         return StirlingTable(n_max, table.entries[: n_max + 1])
     return replace(table, n_max=n_max, values=table.values[: n_max + 1])
 
 
-class FamilyMemo:
-    """Caches family constructions shared between checkers.
+def _head(seq: Sequence, n_max: int) -> Sequence:
+    """Entries 0..n_max of a table indexed by n."""
+    return seq[: n_max + 1]
 
-    A family is built once per builder and parameters, at the largest order
-    asked so far: a request at or below that order is served by truncating
-    the build, since the low coefficients of a truncated series do not depend
-    on where it is cut, and a larger order rebuilds it.
+
+class FamilyMemo:
+    """Caches family constructions and sub-series shared between checkers.
+
+    Everything lives in one :class:`~degenpoly.families.SubSeriesStore`: a
+    family is built once per builder and parameters, at the largest order
+    asked so far, and a request at or below that order is served by
+    truncating the build, since the low coefficients of a truncated series
+    do not depend on where it is cut.  The same holds for the chain
+    products per r and the chain factors per k-list that Thm1, Cor2 and
+    Thm3 share, and, while the memo's own builder calls run, for the
+    sub-series the family builders share (``2/(e_lambda(t)+1)`` and its
+    powers, and the powers of ``log_lambda(1+t)``).  Nothing is shared
+    between two memos or with builders called outside a memo.
 
     With ``corrupt=True`` every multi-poly-Genocchi family served at symbolic
     argument x gets 1 added to the top value it is served with, after the
@@ -162,7 +172,7 @@ class FamilyMemo:
 
     def __init__(self, corrupt: bool = False):
         self.corrupt = corrupt
-        self._cache: dict = {}
+        self._store = families.SubSeriesStore()
 
     def _family(self, builder: Callable, params: tuple, argument, n_max: int):
         """``builder(*params, argument, n_max)``, built once per builder and params.
@@ -174,12 +184,12 @@ class FamilyMemo:
         """
         if argument is not None:
             params = (*params, families._norm_argument(argument))
-        key = (builder, params)
-        value = self._cache.get(key)
-        if value is None or value.n_max < n_max:
-            value = builder(*params, n_max)
-            self._cache[key] = value
-        value = _truncate(value, n_max)
+
+        def build(n: int):
+            with families.sharing(self._store):
+                return builder(*params, n)
+
+        value = self._store.get((builder, params), n_max, build, _truncate)
         if self.corrupt and builder is families.multi_poly_genocchi_deg and params[-1] == "x":
             values = list(value.values)
             values[-1] = values[-1] + 1
@@ -204,26 +214,54 @@ class FamilyMemo:
     def stirling(self, n_max: int) -> StirlingTable:
         return self._family(stirling1_deg_recurrence, (), None, n_max)
 
+    def chain_factors(self, ks: tuple[int, ...], n_max: int) -> list[MultiPoly]:
+        """:func:`_chain_factors` of ``ks`` up to ``n_max``, over the shared chain products."""
 
-def _chain_factors(ks: Sequence[int], stirling: StirlingTable) -> list[MultiPoly]:
+        def build(n: int) -> list[MultiPoly]:
+            r = len(ks)
+            products = self._store.get(("chain products", r), n, partial(_chain_products, r), _head)
+            return _chain_factors(ks, self.stirling(n), products)
+
+        return self._store.get(("chain factors", ks), n_max, build, _head)
+
+
+def _chain_products(r: int, n_max: int) -> list[list[tuple[tuple[int, ...], MultiPoly]]]:
+    """Chain products: ``products[top]`` lists each chain ``0 < n_1 < ... < n_r = top``
+    with its product ``prod_i (1)_{n_i,lambda}``.
+
+    The chains are enumerated one by one, apart from the dynamic programme
+    of ``deg_multi_polyexp`` that the families are built from.
+    """
+    ones = deg_falling_factorials(1, n_max)
+    products: list[list] = [[] for _ in range(n_max + 1)]
+    for chain in itertools.combinations(range(1, n_max + 1), r):
+        prod = ones[chain[-1]]
+        for n_i in chain[:-1]:
+            prod = prod * ones[n_i]
+        products[chain[-1]].append((chain, prod))
+    return products
+
+
+def _chain_factors(
+    ks: Sequence[int], stirling: StirlingTable, products: Sequence[Sequence]
+) -> list[MultiPoly]:
     """Chain sums shared by Thm1/Cor2/Thm3 right-hand sides.
 
     ``factors[j]`` is the sum over chains ``0 < n_1 < ... < n_r <= j`` of
     ``prod_i (1)_{n_i,lambda} * S_{1,lambda}(j, n_r)`` divided by
     ``(n_1-1)! ... (n_{r-1}-1)! * n_1^{k_1} ... n_{r-1}^{k_{r-1}} * n_r^{k_r - 1}``.
+    ``products`` are the chain products of :func:`_chain_products` for
+    ``r = len(ks)``, up to ``stirling.n_max``.
     """
     ks = tuple(ks)
-    r = len(ks)
     j_max = stirling.n_max
-    ones = [deg_falling_factorial(1, n) for n in range(j_max + 1)]
     by_top: list[MultiPoly] = [ZERO] * (j_max + 1)
-    for chain in itertools.combinations(range(1, j_max + 1), r):
-        scale = Fraction(chain[-1]) ** (-(ks[-1] - 1))
-        prod = ones[chain[-1]]
-        for n_i, k_i in zip(chain[:-1], ks[:-1]):
-            scale *= Fraction(1, math.factorial(n_i - 1)) * Fraction(n_i) ** (-k_i)
-            prod = prod * ones[n_i]
-        by_top[chain[-1]] = by_top[chain[-1]] + prod * scale
+    for top, chains in enumerate(products):
+        for chain, prod in chains:
+            scale = Fraction(top) ** (-(ks[-1] - 1))
+            for n_i, k_i in zip(chain[:-1], ks[:-1]):
+                scale *= Fraction(1, math.factorial(n_i - 1)) * Fraction(n_i) ** (-k_i)
+            by_top[top] = by_top[top] + prod * scale
     factors: list[MultiPoly] = [ZERO] * (j_max + 1)
     for j in range(j_max + 1):
         acc = ZERO
@@ -238,9 +276,9 @@ def _chain_cells(ks, lhs, weights, memo: FamilyMemo, n_max: int) -> list[VerifyC
     """Thm1/Cor2/Thm3 cells for n = r..n_max.
 
     Each checks ``lhs[n]`` against ``sum_l C(n,l) weights[l] factors[n-l]``
-    over the chain factors of ``ks``.
+    over the chain factors of ``ks``, which the memo builds once per k-list.
     """
-    factors = _chain_factors(ks, memo.stirling(n_max))
+    factors = memo.chain_factors(ks, n_max)
     return [
         _cell((("n", n),), lhs[n], _binomial_convolution(weights, factors, n))
         for n in range(len(ks), n_max + 1)
@@ -316,7 +354,7 @@ def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     memo = memo or FamilyMemo()
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
-    fall_y = [deg_falling_factorial("y", m) for m in range(n_max + 1)]
+    fall_y = deg_falling_factorials("y", n_max)
     rhs = (_binomial_convolution(fam_x.values, fall_y, n) for n in range(n_max + 1))
     cells = _rows((), fam_xy.values, rhs)
     return VerifyReport("Prop4", (("ks", ks), ("n_max", n_max)), tuple(cells))
@@ -328,7 +366,7 @@ def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     memo = memo or FamilyMemo()
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
-    fall_x = [deg_falling_factorial("x", m) for m in range(n_max + 1)]
+    fall_x = deg_falling_factorials("x", n_max)
     rhs = (_binomial_convolution(numbers.values, fall_x, n) for n in range(n_max + 1))
     cells = _rows((), fam_x.values, rhs)
     return VerifyReport("Eq15", (("ks", ks), ("n_max", n_max)), tuple(cells))

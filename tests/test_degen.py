@@ -15,6 +15,7 @@ from degenpoly.degen import (
     classical_falling_factorial,
     deg_exp,
     deg_falling_factorial,
+    deg_falling_factorials,
     deg_log,
     deg_multi_polyexp,
     deg_polyexp,
@@ -39,6 +40,21 @@ def test_deg_falling_factorial_hand_values():
         deg_falling_factorial("x", -1)
     with pytest.raises(ValueError):
         deg_falling_factorial("z", 1)
+
+
+def test_deg_falling_factorials_list_every_order():
+    bases = (("x", X), ("y", Y), ("x+y", X + Y), (1, ONE), (Fraction(-2, 3), Fraction(-2, 3)))
+    for base, b in bases:
+        expected = []
+        for m in range(7):
+            prod = ONE
+            for i in range(m):
+                prod = prod * (b - i * LAM)
+            expected.append(prod)
+        assert deg_falling_factorials(base, 6) == expected
+    assert deg_falling_factorials("x", 0) == [ONE]
+    with pytest.raises(ValueError):
+        deg_falling_factorials("x", -1)
 
 
 def test_classical_falling_factorial():

@@ -3,7 +3,8 @@
 ``TruncatedSeries.compose`` sums ``f_j g^j`` over the powers of the inner
 series; ``tests/horner_compose.py`` keeps the earlier Horner loop.  Both run
 on the same series, with coefficients in lambda, x and y over mixed
-denominators, and must give equal series.
+denominators, and must give equal series, whether ``compose`` builds the
+powers itself or is handed them.
 """
 
 import pytest
@@ -49,6 +50,15 @@ def test_compose_matches_horner(pair):
 def test_compose_sparse_inner_of_high_valuation(pair):
     outer, inner = pair
     assert outer.compose(inner) == horner_compose(outer, inner)
+
+
+@given(outer_inner(valuations=st.integers(1, 3)), st.integers(0, 3))
+def test_compose_with_given_powers_matches_horner(pair, extra):
+    # powers past the last nonzero outer coefficient are never read
+    outer, inner = pair
+    powers = inner.powers(outer.order + extra)
+    assert len(powers) == outer.order + extra
+    assert outer.compose(inner, powers) == horner_compose(outer, inner)
 
 
 @given(ORDERS.flatmap(series))
