@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import __version__, degen, families
 from . import verify as verify_mod
 from .degen import StirlingTable
-from .poly import MultiPoly, monomial_text
+from .poly import MultiPoly, render_terms, term_texts
 
 # --family -> (module, builder name, builder inputs before n_max, family id).
 # The builder is looked up on its module at call time.  Inputs: "arg" is
@@ -162,10 +162,9 @@ def _poly_record(
     record: dict = {"family_id": family_id, "params": params, "n": n}
     if k is not None:
         record["k"] = k
-    record["value"] = str(value)
-    record["value_terms"] = [
-        [monomial_text(exps), str(coeff)] for exps, coeff in value.sorted_terms()
-    ]
+    texts = term_texts(value)
+    record["value"] = render_terms(texts)
+    record["value_terms"] = texts
     return record
 
 

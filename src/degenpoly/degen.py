@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .poly import LAM, ONE, X, Y, ZERO, MultiPoly
+from .poly import LAM, ONE, X, Y, ZERO, MultiPoly, sum_of_products
 from .series import TruncatedSeries
 
 Weight = Union[str, int, Fraction]
@@ -134,13 +134,11 @@ def stirling1_deg_recurrence(n_max: int) -> StirlingTable:
         raise ValueError("n_max must be nonnegative")
     rows: list[tuple[MultiPoly, ...]] = [(ONE,)]
     for n in range(n_max):
-        prev = rows[n]
-        row: list[MultiPoly] = []
-        for k in range(n + 2):
-            s = prev[k - 1] if 1 <= k <= n + 1 else ZERO
-            if k <= n and prev[k]:
-                s = s + (LAM * k - n) * prev[k]
-            row.append(s)
+        prev = (ZERO, *rows[n], ZERO)  # prev[k + 1] is S(n, k), zero outside 0..n
+        row = (
+            sum_of_products([(1, ONE, prev[k]), (k, LAM, prev[k + 1]), (-n, ONE, prev[k + 1])])
+            for k in range(n + 2)
+        )
         rows.append(tuple(row))
     return StirlingTable(n_max, tuple(rows))
 

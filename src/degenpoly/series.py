@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .poly import MultiPoly, ZERO
+from .poly import MultiPoly, ZERO, sum_of_products
 
 CoeffLike = Union[MultiPoly, int, Fraction]
 
@@ -81,16 +81,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        n = self.order
-        out: list[MultiPoly] = [ZERO] * (n + 1)
-        for i, ci in enumerate(self.coeffs):
-            if not ci:
-                continue
-            for j in range(n - i + 1):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(n, out)
+        a, b = self.coeffs, other.coeffs
+        out = [sum_of_products((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(len(a))]
+        return TruncatedSeries(self.order, out)
 
     __rmul__ = __mul__
 
@@ -99,10 +92,7 @@ class TruncatedSeries:
             raise ValueError("negative series power; use invert() first")
         if r == 0:
             return TruncatedSeries.constant(1, self.order)
-        out = self
-        for _ in range(r - 1):
-            out = out * self
-        return out
+        return self.powers(r)[-1]
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -112,21 +102,16 @@ class TruncatedSeries:
                 "series is invertible only when its constant term is a nonzero rational"
             )
         inv0 = 1 / c0.constant_value()
-        g: list[MultiPoly] = [MultiPoly.const(inv0)]
+        f, g = self.coeffs, [MultiPoly.const(inv0)]
         for n in range(1, self.order + 1):
-            acc = ZERO
-            for i in range(1, n + 1):
-                fi = self.coeffs[i]
-                if fi:
-                    acc = acc + fi * g[n - i]
-            g.append(acc * (-inv0))
+            g.append(sum_of_products((1, f[i], g[n - i]) for i in range(1, n + 1)) * (-inv0))
         return TruncatedSeries(self.order, g)
 
     def powers(self, count: int) -> tuple["TruncatedSeries", ...]:
         """``(self, self^2, ..., self^count)``, each power made from the one before.
 
         When ``self`` has valuation at least 1, ``self^(j-1)`` is zero below
-        ``t^(j-1)``; the product skips zero rows, so each power costs only
+        ``t^(j-1)``; the product skips zero coefficients, so each power costs only
         its coefficients from ``t^j`` up.
         """
         out: list[TruncatedSeries] = []
@@ -139,8 +124,10 @@ class TruncatedSeries:
     ) -> "TruncatedSeries":
         """Substitute ``inner`` for t; ``inner`` must have zero constant term.
 
-        Computes the sum ``f(g) = f_0 + sum_{j>=1} f_j g^j`` through the
-        series product and sum, skipping zero ``f_j``.  The powers ``g^j``
+        Computes the sum ``f(g) = f_0 + sum_{j>=1} f_j g^j`` one output
+        coefficient at a time, ``[t^m] = sum_{j<=m} f_j [t^m] g^j`` (``g^j``
+        has valuation j), each one :func:`~degenpoly.poly.sum_of_products`
+        call.  The powers ``g^j``
         come from :meth:`powers`, up to the last nonzero ``f_j``; a caller
         that composes several series with one ``g`` may pass them as
         ``powers`` (``powers[j - 1]`` is ``g^j``, at this order) to build
@@ -151,15 +138,15 @@ class TruncatedSeries:
         self._check_order(inner)
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
-        n = self.order
-        out = TruncatedSeries.constant(self.coeffs[0], n)
-        top = max((j for j in range(1, n + 1) if self.coeffs[j]), default=0)
+        f = self.coeffs
+        top = max((j for j in range(1, len(f)) if f[j]), default=0)
         if powers is None:
             powers = inner.powers(top)
-        for j in range(1, top + 1):
-            if self.coeffs[j]:
-                out = out + powers[j - 1] * self.coeffs[j]
-        return out
+        out = [f[0]] + [
+            sum_of_products((1, f[j], powers[j - 1].coeffs[m]) for j in range(1, min(m, top) + 1))
+            for m in range(1, len(f))
+        ]
+        return TruncatedSeries(self.order, out)
 
     def egf_coeff(self, n: int) -> MultiPoly:
         """n-th exponential generating coefficient, ``n! * c_n``."""

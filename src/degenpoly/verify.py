@@ -51,7 +51,7 @@ from .degen import (
     stirling1_deg_recurrence,
 )
 from .families import PolyFamily
-from .poly import X, ZERO, MultiPoly, binomial
+from .poly import X, ZERO, MultiPoly, binomial, sum_of_products
 from .series import TruncatedSeries
 
 ParamItems = tuple[tuple[str, object], ...]
@@ -129,11 +129,8 @@ def _rows(
 
 def _binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
     """``sum_l C(n,l) a[l] b[n-l]``; entries past the end of a or b count as zero."""
-    acc = ZERO
-    for l in range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1):
-        if a[l] and b[n - l]:
-            acc = acc + binomial(n, l) * a[l] * b[n - l]
-    return acc
+    ls = range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)
+    return sum_of_products((math.comb(n, l), a[l], b[n - l]) for l in ls)
 
 
 def _truncate(table: PolyFamily | StirlingTable, n_max: int) -> PolyFamily | StirlingTable:
@@ -253,23 +250,19 @@ def _chain_factors(
     ``products`` are the chain products of :func:`_chain_products` for
     ``r = len(ks)``, up to ``stirling.n_max``.
     """
-    ks = tuple(ks)
-    j_max = stirling.n_max
-    by_top: list[MultiPoly] = [ZERO] * (j_max + 1)
-    for top, chains in enumerate(products):
-        for chain, prod in chains:
-            scale = Fraction(top) ** (-(ks[-1] - 1))
-            for n_i, k_i in zip(chain[:-1], ks[:-1]):
-                scale *= Fraction(1, math.factorial(n_i - 1)) * Fraction(n_i) ** (-k_i)
-            by_top[top] = by_top[top] + prod * scale
-    factors: list[MultiPoly] = [ZERO] * (j_max + 1)
-    for j in range(j_max + 1):
-        acc = ZERO
-        for top in range(1, j + 1):
-            if by_top[top]:
-                acc = acc + by_top[top] * stirling.value(j, top)
-        factors[j] = acc
-    return factors
+    def weight(chain: tuple[int, ...]) -> MultiPoly:
+        scale = Fraction(chain[-1]) ** (-(ks[-1] - 1))
+        for n_i, k_i in zip(chain[:-1], ks[:-1]):
+            scale *= Fraction(1, math.factorial(n_i - 1)) * Fraction(n_i) ** (-k_i)
+        return MultiPoly.const(scale)
+
+    by_top = [
+        sum_of_products((1, prod, weight(chain)) for chain, prod in chains) for chains in products
+    ]
+    return [
+        sum_of_products((1, by_top[top], stirling.value(j, top)) for top in range(1, j + 1))
+        for j in range(stirling.n_max + 1)
+    ]
 
 
 def _chain_cells(ks, lhs, weights, memo: FamilyMemo, n_max: int) -> list[VerifyCell]:

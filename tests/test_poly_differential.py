@@ -3,7 +3,8 @@
 Every operation is run on both cores from the same term map, and the results
 must have equal ``terms`` while the fraction-free one stays canonical
 (``den > 0``, ``gcd(den, *num) == 1``, no zero numerators, zero as
-``({}, 1)``).
+``({}, 1)``).  The fused kernel :func:`sum_of_products` is checked against
+the oracle's own ``sum c * p * q``, one ``*`` and ``+`` per addend.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fraction_poly as ref
-from degenpoly.poly import MultiPoly, parse_poly, render_poly
+from degenpoly.poly import MultiPoly, parse_poly, render_poly, sum_of_products
 
 EXPS = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
 # mixed denominators, negative values and zero
@@ -135,3 +136,96 @@ def test_cancellation_to_zero(t1, t2):
     # partial cancellation: the shared terms of p + q and q drop out
     assert_same((p + q) - q, (r + s) - s)
     assert (p + q) - q == p
+
+
+WEIGHTS = st.integers(-6, 6)
+TRIPLES = st.lists(st.tuples(WEIGHTS, TERMS, TERMS), max_size=5)
+# each polynomial over its own prime denominator, so the products' are coprime
+PRIME_TERMS = st.builds(
+    lambda d, nums: {exps: Fraction(v, d) for exps, v in nums.items()},
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+    st.dictionaries(EXPS, st.integers(-20, 20), max_size=4),
+)
+
+
+def fused_both(triples):
+    """The kernel on ``triples`` of term maps, and the oracle's sum of products."""
+    new = sum_of_products((c, MultiPoly(t1), MultiPoly(t2)) for c, t1, t2 in triples)
+    old = ref.MultiPoly()
+    for c, t1, t2 in triples:
+        old = old + c * ref.MultiPoly(t1) * ref.MultiPoly(t2)
+    return new, old
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    z = sum_of_products([])
+    assert (z.num, z.den) == ({}, 1)
+
+
+@given(TRIPLES)
+def test_sum_of_products(triples):
+    assert_same(*fused_both(triples))
+
+
+@given(st.lists(st.tuples(WEIGHTS, PRIME_TERMS, PRIME_TERMS), min_size=1, max_size=4))
+def test_sum_of_products_coprime_denominators(triples):
+    assert_same(*fused_both(triples))
+
+
+@given(WEIGHTS, TERMS, TERMS)
+def test_sum_of_products_single_term(c, t1, t2):
+    p, q = MultiPoly(t1), MultiPoly(t2)
+    new, old = fused_both([(c, t1, t2)])
+    assert_same(new, old)
+    assert new == c * p * q
+
+
+@given(st.integers(1, 6), TERMS, TERMS, TRIPLES)
+def test_sum_of_products_negative_weights(c, t1, t2, rest):
+    new, old = fused_both([(-c, t1, t2)] + rest)
+    assert_same(new, old)
+    assert new == fused_both(rest)[0] - c * MultiPoly(t1) * MultiPoly(t2)
+
+
+@given(WEIGHTS, TERMS, TERMS, TRIPLES)
+def test_sum_of_products_zero_weights_and_factors(c, t1, t2, rest):
+    padded = [(0, t1, t2), (c, {}, t2)] + rest + [(c, t1, {}), (0, {}, {})]
+    new, old = fused_both(padded)
+    assert_same(new, old)
+    assert new == fused_both(rest)[0]
+
+
+@given(WEIGHTS, TERMS, TERMS)
+def test_sum_of_products_cancels_to_zero(c, t1, t2):
+    p, q = MultiPoly(t1), MultiPoly(t2)
+    for triples in (
+        [(c, p, q), (-c, p, q)],
+        [(c, p, q), (c, -p, q)],
+        [(c, p, q), (-c, q, p)],
+        [(2 * c, p, q), (-c, p, q), (-c, q, p)],
+    ):
+        z = sum_of_products(triples)
+        assert (z.num, z.den) == ({}, 1)
+
+
+class _CountingItems(dict):
+    """A numerator map that counts how often its terms are read."""
+
+    reads = 0
+
+    def items(self):
+        type(self).reads += 1
+        return super().items()
+
+
+@given(TERMS, TERMS)
+def test_sum_of_products_reads_no_zero_term(t1, t2):
+    # a zero term changes no coefficient, so only its cost can show: the
+    # kernel must not read the terms of a factor it multiplies by zero
+    p, q = MultiPoly(t1), MultiPoly(t2)
+    spy = MultiPoly({(1, 0, 0): 1, (0, 1, 0): Fraction(1, 2)})
+    spy.num = _CountingItems(spy.num)
+    _CountingItems.reads = 0
+    out = sum_of_products([(0, spy, q), (1, spy, MultiPoly()), (1, MultiPoly(), spy), (1, p, q)])
+    assert _CountingItems.reads == 0
+    assert out == p * q

@@ -9,9 +9,14 @@ without a series inversion: each egf times ``(e_lambda(t) + 1)^r`` must be
 the paper's numerator times ``e_lambda^x(t)``, with ``Ei_{(k_1..k_r),lambda}``
 summed over explicit chains ``0 < n_1 < ... < n_r``.  None of it goes
 through ``degenpoly``'s series or polynomial arithmetic.
+
+The ``MultiPoly`` core itself (``*``, ``+`` and ``sum_of_products``) is
+checked against ``sympy.Poly`` over ``QQ[lambda, x, y]`` on a fixed set of
+trivariate polynomials.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +24,7 @@ sympy = pytest.importorskip("sympy")
 
 from degenpoly import families
 from degenpoly.degen import deg_log, deg_polyexp
+from degenpoly.poly import MultiPoly, parse_poly, sum_of_products
 
 N = 8
 LAM, T, X, Y = sympy.symbols("lambda t x y")
@@ -81,6 +87,47 @@ def to_sympy(p):
         ),
         sympy.Integer(0),
     )
+
+
+def to_qq_poly(p):
+    """``p`` as a ``sympy.Poly`` over ``QQ[lambda, x, y]``, term by term."""
+    terms = {exps: sympy.Rational(q.numerator, q.denominator) for exps, q in p.terms.items()}
+    return sympy.Poly.from_dict(terms, LAM, X, Y, domain="QQ")
+
+
+# zero, a constant, mixed and coprime denominators, negative and cancelling terms
+CORE_POLYS = [
+    MultiPoly(),
+    MultiPoly.const(Fraction(-7, 4)),
+    parse_poly("lambda^2 - 3*lambda + 2"),
+    parse_poly("3/2*lambda*x - 1/3*y^2 + 5/7"),
+    parse_poly("-lambda^3*x*y + 2/5*x^2 - 11/6*y + 1/4"),
+    parse_poly("x^3 - 3*x^2*y + 3*x*y^2 - y^3"),
+    parse_poly("1/2*lambda + 1/2*x - 1/2*y - 1/2"),
+]
+CORE_PAIRS = list(itertools.product(range(len(CORE_POLYS)), repeat=2))
+
+
+@pytest.mark.parametrize("i, j", CORE_PAIRS)
+def test_multipoly_ring_operations_match_sympy(i, j):
+    p, q = CORE_POLYS[i], CORE_POLYS[j]
+    assert to_qq_poly(p * q) == to_qq_poly(p) * to_qq_poly(q)
+    assert to_qq_poly(p + q) == to_qq_poly(p) + to_qq_poly(q)
+    assert to_qq_poly(p - q) == to_qq_poly(p) - to_qq_poly(q)
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, -2, 5), (0, -1, 12), (-4, 0, 0)])
+def test_sum_of_products_matches_sympy(weights):
+    n = len(CORE_POLYS)
+    triples = [
+        (c, CORE_POLYS[(k + 2 * i) % n], CORE_POLYS[(3 * k + i + 1) % n])
+        for k in range(n)
+        for i, c in enumerate(weights)
+    ]
+    expected = sympy.Poly(0, LAM, X, Y, domain="QQ")
+    for c, p, q in triples:
+        expected += to_qq_poly(p) * to_qq_poly(q) * c
+    assert to_qq_poly(sum_of_products(triples)) == expected
 
 
 def test_log_coefficients_match_the_definition():
