@@ -17,7 +17,6 @@ from .degen import (
     deg_multi_polyexp,
     deg_polyexp,
     polyexp_modified,
-    polylog,
     stirling1_deg_recurrence,
     stirling1_deg_series,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "deg_multi_polyexp",
     "deg_polyexp",
     "polyexp_modified",
-    "polylog",
     "stirling1_deg_recurrence",
     "stirling1_deg_series",
     "PolyFamily",

@@ -14,7 +14,8 @@ Exit codes: 0 success / all cells passed, 1 at least one cell failed,
 deterministic: identical invocations produce byte-identical files.  Values
 are exact; symbolic lambda or argument is the flag token ``sym`` /
 ``sym-x``, rationals are ``p/q`` or integer text, and no floating point
-appears anywhere.
+appears anywhere.  A rational ``--lambda`` is applied while building: the
+table is computed at that lambda, never built symbolically and substituted.
 
 The only environment variable read is ``DEGENPOLY_OUT_DIR``, an optional
 directory prefix for relative ``--out`` paths.
@@ -32,7 +33,7 @@ from fractions import Fraction
 from . import __version__, degen, families
 from . import verify as verify_mod
 from .degen import StirlingTable
-from .poly import MultiPoly, render_terms, term_texts
+from .poly import LAM, MultiPoly, render_terms, term_texts
 
 # --family -> (module, builder name, builder inputs before n_max, family id).
 # The builder is looked up on its module at call time.  Inputs: "arg" is
@@ -192,8 +193,8 @@ def cmd_compute(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--n-max must be nonnegative")
     family = args.family
     module, builder, inputs, family_id = FAMILIES[family]
-    lam: Fraction | None = (
-        None if args.lam == "sym" else _parse_rational(args.lam, "--lambda", parser)
+    lam = (
+        LAM if args.lam == "sym" else MultiPoly.const(_parse_rational(args.lam, "--lambda", parser))
     )
     ks = _parse_ks(args.ks, parser) if args.ks is not None else None
 
@@ -233,13 +234,11 @@ def cmd_compute(args, parser: argparse.ArgumentParser) -> int:
     }
     given = {"arg": argument, "r": args.r, "k": ks and ks[0], "ks": ks}
     try:
-        built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max)
+        built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max, lam=lam)
     except ValueError as exc:
         parser.error(str(exc))
     records = [
-        _poly_record(
-            family_id, params, n, value if lam is None else value.substitute("lambda", lam), k=k
-        )
+        _poly_record(family_id, params, n, value, k=k)
         for n, k, value in _entries(built, args.n_max)
     ]
 

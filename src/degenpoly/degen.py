@@ -1,6 +1,6 @@
 """Degenerate special functions as exact truncated series.
 
-Everything here is parameterized by the deformation symbol lambda and
+Everything here is parameterized by the deformation parameter lambda and
 reduces to a classical object at lambda = 0:
 
 * degenerate falling factorial ``(w)_{n,lambda} = w (w - lambda) ... (w - (n-1) lambda)``,
@@ -12,13 +12,15 @@ reduces to a classical object at lambda = 0:
 * degenerate Stirling numbers of the first kind, via the triangular
   recurrence ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)`` or as egf
   coefficients of ``(log_lambda(1+t))^k / k!``
-* polyexponential functions: the classical polylogarithm, the modified
-  polyexponential ``Ei_k``, its degenerate version ``Ei_{k,lambda}``, and the
-  degenerate multiple polyexponential ``Ei_{(k_1..k_r),lambda}`` summed over
-  strictly increasing index chains ``0 < n_1 < ... < n_r``.
+* polyexponential functions: the modified polyexponential ``Ei_k``, its
+  degenerate version ``Ei_{k,lambda}``, and the degenerate multiple
+  polyexponential ``Ei_{(k_1..k_r),lambda}`` summed over strictly increasing
+  index chains ``0 < n_1 < ... < n_r``.
 
 Series weights and bases may be the symbols ``"x"``, ``"y"``, the sum
-``"x+y"``, or any exact rational.
+``"x+y"``, or any exact rational.  Each builder that reads lambda takes it
+as the keyword ``lam``: the symbol ``LAM`` by default, or a constant
+polynomial to build at that value of lambda directly.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ def _base_poly(base: Weight) -> MultiPoly:
     return MultiPoly.const(Fraction(base))
 
 
-def deg_falling_factorials(base: Weight, n_max: int) -> list[MultiPoly]:
+def deg_falling_factorials(base: Weight, n_max: int, *, lam: MultiPoly = LAM) -> list[MultiPoly]:
     """``(base)_{m,lambda}`` for m = 0..n_max, in one running product."""
     if n_max < 0:
         raise ValueError("falling factorial needs n >= 0")
     b = _base_poly(base)
     out = [ONE]
     for i in range(n_max):
-        out.append(out[-1] * (b - LAM * i))
+        out.append(out[-1] * (b - lam * i))
     return out
 
 
@@ -72,7 +74,7 @@ def classical_falling_factorial(n: int) -> MultiPoly:
     return out
 
 
-def deg_exp(weight: Weight, order: int) -> TruncatedSeries:
+def deg_exp(weight: Weight, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """Degenerate exponential ``e_lambda^weight(t)`` to the given order.
 
     The ordinary coefficient at t^n is ``(weight)_{n,lambda} / n!``.
@@ -83,13 +85,13 @@ def deg_exp(weight: Weight, order: int) -> TruncatedSeries:
     fact = 1
     for n in range(order + 1):
         if n:
-            prod = prod * (b - LAM * (n - 1))
+            prod = prod * (b - lam * (n - 1))
             fact *= n
         coeffs.append(prod * Fraction(1, fact))
     return TruncatedSeries(order, coeffs)
 
 
-def deg_log(order: int) -> TruncatedSeries:
+def deg_log(order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """Degenerate logarithm ``log_lambda(1 + t)`` to the given order.
 
     The ordinary coefficient at t^n (n >= 1) is
@@ -102,7 +104,7 @@ def deg_log(order: int) -> TruncatedSeries:
     fact = 1
     for n in range(1, order + 1):
         if n > 1:
-            prod = prod * (LAM - (n - 1))
+            prod = prod * (lam - (n - 1))
         fact *= n
         coeffs.append(prod * Fraction(1, fact))
     return TruncatedSeries(order, coeffs)
@@ -125,7 +127,7 @@ class StirlingTable:
         return self.entries[n][k] if k <= n else ZERO
 
 
-def stirling1_deg_recurrence(n_max: int) -> StirlingTable:
+def stirling1_deg_recurrence(n_max: int, *, lam: MultiPoly = LAM) -> StirlingTable:
     """Build the Stirling triangle from the two-term recurrence.
 
     ``S(0,0) = 1`` and ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)``.
@@ -136,7 +138,7 @@ def stirling1_deg_recurrence(n_max: int) -> StirlingTable:
     for n in range(n_max):
         prev = (ZERO, *rows[n], ZERO)  # prev[k + 1] is S(n, k), zero outside 0..n
         row = (
-            sum_of_products([(1, ONE, prev[k]), (k, LAM, prev[k + 1]), (-n, ONE, prev[k + 1])])
+            sum_of_products([(1, ONE, prev[k]), (k, lam, prev[k + 1]), (-n, ONE, prev[k + 1])])
             for k in range(n + 2)
         )
         rows.append(tuple(row))
@@ -149,14 +151,6 @@ def stirling1_deg_series(n: int, k: int, order: int) -> MultiPoly:
         raise ValueError(f"need 0 <= k <= n <= order, got ({n}, {k}) at order {order}")
     powered = deg_log(order) ** k
     return powered.egf_coeff(n) * Fraction(1, math.factorial(k))
-
-
-def polylog(k: int, order: int) -> TruncatedSeries:
-    """Polylogarithm ``Li_k(t) = sum_{n>=1} t^n / n^k`` truncated."""
-    coeffs: list[MultiPoly] = [ZERO]
-    for n in range(1, order + 1):
-        coeffs.append(MultiPoly.const(Fraction(n) ** (-k)))
-    return TruncatedSeries(order, coeffs)
 
 
 def polyexp_modified(k: int, order: int) -> TruncatedSeries:
@@ -172,7 +166,7 @@ def polyexp_modified(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
-def deg_polyexp(k: int, order: int) -> TruncatedSeries:
+def deg_polyexp(k: int, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """Degenerate polyexponential ``Ei_{k,lambda}(t)``.
 
     The coefficient at t^n (n >= 1) is ``(1)_{n,lambda} / ((n-1)! n^k)``;
@@ -181,13 +175,13 @@ def deg_polyexp(k: int, order: int) -> TruncatedSeries:
     coeffs: list[MultiPoly] = [ZERO]
     prod = ONE
     for n in range(1, order + 1):
-        prod = prod * (ONE - LAM * (n - 1)) if n > 1 else ONE
+        prod = prod * (ONE - lam * (n - 1)) if n > 1 else ONE
         scale = Fraction(1, math.factorial(n - 1)) * Fraction(n) ** (-k)
         coeffs.append(prod * scale)
     return TruncatedSeries(order, coeffs)
 
 
-def deg_multi_polyexp(ks: Sequence[int], order: int) -> TruncatedSeries:
+def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """Degenerate multiple polyexponential ``Ei_{(k_1..k_r),lambda}(t)``.
 
     The coefficient at t^m sums over strictly increasing chains
@@ -203,7 +197,7 @@ def deg_multi_polyexp(ks: Sequence[int], order: int) -> TruncatedSeries:
         raise ValueError("series order must be nonnegative")
     ones = [ONE]
     for n in range(1, order + 1):
-        ones.append(ones[-1] * (ONE - LAM * (n - 1)) if n > 1 else ONE)
+        ones.append(ones[-1] * (ONE - lam * (n - 1)) if n > 1 else ONE)
     level: list[MultiPoly] | None = None
     for k in ks:
         nxt: list[MultiPoly] = [ZERO] * (order + 1)

@@ -16,12 +16,15 @@ truncated series, and one shared assembly multiplies it by
 The argument may be the symbol ``"x"``, the sum ``"x+y"``, or an exact
 rational (0 gives the number family).  ``multi_poly_genocchi_deg`` with a
 single index k equals ``poly_genocchi_deg(k, ...)``, and with k = 1 both
-collapse to ``genocchi_deg``.
+collapse to ``genocchi_deg``.  Every builder takes the keyword ``lam``: the
+symbol ``LAM`` by default, or a constant polynomial to build the family at
+that value of lambda directly.
 
-Inside :func:`sharing` (a memo's builder calls), the builders take
+Inside :func:`sharing` (a memo's builder calls), symbolic builds take
 ``2 / (e_lambda(t) + 1)``, its powers and the powers of ``log_lambda(1+t)``
 from that memo's :class:`SubSeriesStore`, each built once at the largest
-order asked for; outside it, every build makes its own.
+order asked for; outside it, and at any other ``lam``, every build makes
+its own.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar, Union
 
 from .degen import deg_exp, deg_falling_factorials, deg_log, deg_multi_polyexp, deg_polyexp
-from .poly import ZERO, MultiPoly
+from .poly import LAM, ZERO, MultiPoly
 from .series import TruncatedSeries
 
 Argument = Union[str, int, Fraction]
@@ -59,8 +62,9 @@ class PolyFamily:
     """A polynomial family evaluated to order ``n_max``.
 
     ``values[n]`` is the n-th member as an exact polynomial in lambda (and
-    x, y when the argument is symbolic).  ``r`` and ``ks`` are populated for
-    the order-r and poly/multi-poly variants respectively.
+    x, y when the argument is symbolic); a build at a constant ``lam`` holds
+    the members at that lambda.  ``r`` and ``ks`` are populated for the
+    order-r and poly/multi-poly variants respectively.
     """
 
     family_id: str
@@ -115,9 +119,19 @@ def sharing(store: SubSeriesStore) -> Iterator[None]:
         _STORE.reset(token)
 
 
-def _shared_series(key: Hashable, order: int, build: Callable[[int], TruncatedSeries]):
+def _active_store(lam: MultiPoly) -> SubSeriesStore | None:
+    """The store a build at ``lam`` shares through, if any.
+
+    A store's keys carry no lambda, so only symbolic builds use it.
+    """
+    return _STORE.get() if lam == LAM else None
+
+
+def _shared_series(
+    key: Hashable, order: int, build: Callable[[int], TruncatedSeries], lam: MultiPoly
+):
     """``build(order)``, or the active store's copy of it."""
-    store = _STORE.get()
+    store = _active_store(lam)
     if store is None:
         return build(order)
     return store.get(key, order, build, TruncatedSeries.truncate)
@@ -127,76 +141,88 @@ def _truncate_powers(powers: tuple[TruncatedSeries, ...], order: int):
     return tuple(power.truncate(order) for power in powers[:order])
 
 
-def _two_over_exp_plus_one(order: int) -> TruncatedSeries:
+def _two_over_exp_plus_one(order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """``2 / (e_lambda(t) + 1)``, the factor every kernel is built from."""
-    return (deg_exp(1, order) + 1).invert() * 2
+    return (deg_exp(1, order, lam=lam) + 1).invert() * 2
 
 
-def _two_over_exp_plus_one_power(r: int, order: int) -> TruncatedSeries:
+def _two_over_exp_plus_one_power(r: int, order: int, lam: MultiPoly) -> TruncatedSeries:
     """``(2 / (e_lambda(t) + 1))^r``, shared by the Euler and multi-poly kernels."""
-    base = _shared_series("2/(e+1)", order, _two_over_exp_plus_one)
-    return _shared_series(("2/(e+1)", r), order, lambda _: base**r)
+    base = _shared_series("2/(e+1)", order, lambda n: _two_over_exp_plus_one(n, lam=lam), lam)
+    return _shared_series(("2/(e+1)", r), order, lambda _: base**r, lam)
 
 
-def _compose_with_log(outer: TruncatedSeries) -> TruncatedSeries:
+def _compose_with_log(outer: TruncatedSeries, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """``outer(log_lambda(1+t))``; inside a memo, the log and its powers come from its store."""
     order = outer.order
-    store = _STORE.get()
+    store = _active_store(lam)
     if store is None:
-        return outer.compose(deg_log(order))
+        return outer.compose(deg_log(order, lam=lam))
     log = store.get("log", order, deg_log, TruncatedSeries.truncate)
     powers = store.get("log powers", order, lambda _: log.powers(order), _truncate_powers)
     return outer.compose(log, powers)
 
 
 def _family(
-    family_id: str, kernel: TruncatedSeries, argument: Argument, n_max: int, **fields
+    family_id: str,
+    kernel: TruncatedSeries,
+    argument: Argument,
+    n_max: int,
+    *,
+    lam: MultiPoly = LAM,
+    **fields,
 ) -> PolyFamily:
     """The family whose egf is ``kernel * e_lambda^argument(t)``."""
     arg = _norm_argument(argument)
-    gen = kernel * deg_exp(arg, n_max)
+    gen = kernel * deg_exp(arg, n_max, lam=lam)
     values = tuple(gen.egf_coeff(n) for n in range(n_max + 1))
     return PolyFamily(family_id, arg, n_max, values, **fields)
 
 
-def genocchi_deg(argument: Argument, n_max: int) -> PolyFamily:
+def genocchi_deg(argument: Argument, n_max: int, *, lam: MultiPoly = LAM) -> PolyFamily:
     """Degenerate Genocchi polynomials ``G_{n,lambda}(argument)``."""
-    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max)
-    return _family(GENOCCHI, kernel, argument, n_max)
+    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam)
+    return _family(GENOCCHI, kernel, argument, n_max, lam=lam)
 
 
-def genocchi_deg_order(r: int, argument: Argument, n_max: int) -> PolyFamily:
+def genocchi_deg_order(
+    r: int, argument: Argument, n_max: int, *, lam: MultiPoly = LAM
+) -> PolyFamily:
     """Degenerate Genocchi polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
     # (2t/(e+1))^r, not t^r times the Euler kernel: Eq19 checks one against the other
-    kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max)) ** r
-    return _family(GENOCCHI_ORDER, kernel, argument, n_max, r=r)
+    kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam)) ** r
+    return _family(GENOCCHI_ORDER, kernel, argument, n_max, lam=lam, r=r)
 
 
-def euler_deg_order(r: int, argument: Argument, n_max: int) -> PolyFamily:
+def euler_deg_order(
+    r: int, argument: Argument, n_max: int, *, lam: MultiPoly = LAM
+) -> PolyFamily:
     """Degenerate Euler polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    kernel = _two_over_exp_plus_one_power(r, n_max)
-    return _family(EULER_ORDER, kernel, argument, n_max, r=r)
+    kernel = _two_over_exp_plus_one_power(r, n_max, lam)
+    return _family(EULER_ORDER, kernel, argument, n_max, lam=lam, r=r)
 
 
-def poly_genocchi_deg(k: int, argument: Argument, n_max: int) -> PolyFamily:
+def poly_genocchi_deg(
+    k: int, argument: Argument, n_max: int, *, lam: MultiPoly = LAM
+) -> PolyFamily:
     """Degenerate poly-Genocchi polynomials ``g_{n,lambda}^{(k)}(argument)``."""
-    num = _compose_with_log(deg_polyexp(k, n_max))
-    kernel = num * _two_over_exp_plus_one_power(1, n_max)
-    return _family(POLY_GENOCCHI, kernel, argument, n_max, ks=(int(k),))
+    num = _compose_with_log(deg_polyexp(k, n_max, lam=lam), lam=lam)
+    kernel = num * _two_over_exp_plus_one_power(1, n_max, lam)
+    return _family(POLY_GENOCCHI, kernel, argument, n_max, lam=lam, ks=(int(k),))
 
 
 def multi_poly_genocchi_deg(
-    ks: Sequence[int], argument: Argument, n_max: int
+    ks: Sequence[int], argument: Argument, n_max: int, *, lam: MultiPoly = LAM
 ) -> PolyFamily:
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
     ks = tuple(int(k) for k in ks)
-    num = _compose_with_log(deg_multi_polyexp(ks, n_max))
-    kernel = num * _two_over_exp_plus_one_power(len(ks), n_max)
-    return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, r=len(ks), ks=ks)
+    num = _compose_with_log(deg_multi_polyexp(ks, n_max, lam=lam), lam=lam)
+    kernel = num * _two_over_exp_plus_one_power(len(ks), n_max, lam)
+    return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, lam=lam, r=len(ks), ks=ks)
 
 
 def expand_in_deg_falling_basis(family: PolyFamily) -> list[list[MultiPoly]]:

@@ -235,10 +235,6 @@ class MultiPoly:
             raise ValueError(f"polynomial is not constant: {self}")
         return Fraction(self.num.get((0, 0, 0), 0), self.den)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in canonical order (descending exponent triples)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
-
     def __str__(self) -> str:
         return render_poly(self)
 
@@ -286,8 +282,19 @@ def monomial_text(exps: Exponents) -> str:
 
 
 def term_texts(p: MultiPoly) -> list[tuple[str, str]]:
-    """``(monomial text, reduced coefficient text)`` per term, in canonical order."""
-    return [(monomial_text(exps), str(coeff)) for exps, coeff in p.sorted_terms()]
+    """``(monomial text, reduced coefficient text)`` per term, in canonical order.
+
+    Canonical order is descending exponent triples.  Each numerator is reduced
+    against the common denominator on the integers, giving the text
+    ``str(Fraction(v, den))`` would give.
+    """
+    num, den = p.num, p.den
+    out = []
+    for exps in sorted(num, reverse=True):
+        v = num[exps]
+        g = math.gcd(v, den)
+        out.append((monomial_text(exps), f"{v // g}" if g == den else f"{v // g}/{den // g}"))
+    return out
 
 
 def render_terms(texts: list[tuple[str, str]]) -> str:

@@ -520,6 +520,9 @@ PER_KS_CHECKS: dict[str, Callable[..., VerifyReport]] = {
 
 IDENTITY_CHOICES = tuple(PER_KS_CHECKS) + ("basics", "all")
 
+# the largest r of Eq19 in the full sweep
+EQ19_R_MAX = 3
+
 # Prop4 is the one checker whose work grows with trivariate coefficients;
 # inside the full sweep it is capped at this n_max (standalone runs are not).
 PROP4_SWEEP_CAP = 8
@@ -548,12 +551,18 @@ def run_identity(
     if identity == "basics":
         return check_basics(n_max, memo)
     if identity == "all":
+        # Eq19 (r <= EQ19_R_MAX) and Cor2 (r = len(ks)) ask for order-r Genocchi at
+        # n_max + r, the highest orders of the sweep.  Building the highest
+        # first lets the memo invert e_lambda(t)+1 once and cut every later
+        # request down from it.
+        r_top = max([EQ19_R_MAX, *map(len, lists)])
+        memo.genocchi_order(r_top, "x", n_max + r_top)
         reports: list[VerifyReport] = []
         for name, checker in PER_KS_CHECKS.items():
             nm = min(n_max, PROP4_SWEEP_CAP) if name == "prop4" else n_max
             for ks in lists:
                 reports.append(checker(ks, nm, memo))
-        reports.append(check_eq19(n_max, 3, memo))
+        reports.append(check_eq19(n_max, EQ19_R_MAX, memo))
         reports.append(check_reduction(n_max, memo))
         reports.extend(check_basics(n_max, memo))
         return reports

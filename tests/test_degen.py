@@ -20,7 +20,6 @@ from degenpoly.degen import (
     deg_multi_polyexp,
     deg_polyexp,
     polyexp_modified,
-    polylog,
     stirling1_deg_recurrence,
     stirling1_deg_series,
 )
@@ -162,14 +161,6 @@ def test_stirling_series_route_validation():
         stirling1_deg_series(3, 4, 8)
     with pytest.raises(ValueError):
         stirling1_deg_series(9, 2, 8)
-
-
-def test_polylog_coefficients():
-    series = polylog(2, 4)
-    assert series.coeffs[0] == ZERO
-    assert series.coeffs[3] == MultiPoly.const(Fraction(1, 9))
-    neg = polylog(-1, 3)
-    assert neg.coeffs[3] == MultiPoly.const(3)
 
 
 def test_polyexp_modified_hand_values():

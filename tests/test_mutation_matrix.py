@@ -30,9 +30,9 @@ def _bump(series: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(series.order, coeffs)
 
 
-def _multi_polyexp_non_strict(ks, order):
+def _multi_polyexp_non_strict(ks, order, *, lam=LAM):
     """``deg_multi_polyexp`` whose chain steps allow ``n_{i+1} = n_i``."""
-    ones = deg_falling_factorials(1, order)
+    ones = deg_falling_factorials(1, order, lam=lam)
     level = None
     for k in ks:
         nxt = [ZERO] * (order + 1)
@@ -58,13 +58,17 @@ def _faults():
         out[-1] = out[-1][:-1]
         return out
 
-    def exp_bumped_at_x(weight, order):
-        return _bump(exp(weight, order)) if weight == "x" else exp(weight, order)
+    def exp_bumped_at_x(weight, order, **lam):
+        return _bump(exp(weight, order, **lam)) if weight == "x" else exp(weight, order, **lam)
 
     return {
-        "inverse": (families, "_two_over_exp_plus_one", lambda order: _bump(inverse(order))),
+        "inverse": (
+            families,
+            "_two_over_exp_plus_one",
+            lambda order, **lam: _bump(inverse(order, **lam)),
+        ),
         "deg_exp_at_x": (families, "deg_exp", exp_bumped_at_x),
-        "deg_log": (families, "deg_log", lambda order: _bump(log(order))),
+        "deg_log": (families, "deg_log", lambda order, **lam: _bump(log(order, **lam))),
         "multi_chain_step": (families, "deg_multi_polyexp", _multi_polyexp_non_strict),
         "chain_enumeration": (verify, "_chain_products", without_last_chain),
     }

@@ -7,11 +7,14 @@ a second memo, or a builder called outside any memo, builds everything
 again.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from degenpoly import families, verify
-from degenpoly.degen import stirling1_deg_recurrence
-from degenpoly.families import SubSeriesStore
+from degenpoly.degen import StirlingTable, stirling1_deg_recurrence
+from degenpoly.families import PolyFamily, SubSeriesStore
+from degenpoly.poly import MultiPoly
 from degenpoly.series import TruncatedSeries
 from degenpoly.verify import FamilyMemo, default_k_lists, run_identity
 
@@ -21,9 +24,9 @@ def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
     original = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -84,9 +87,10 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     assert all(report.passed for report in reports)
     assert len(factors) == len(default_k_lists()) == 29
     assert sorted(r for r, _ in products) == [1, 2, 3]
-    # e_lambda(t)+1 at orders 8 and 9..11, the last for the order-r Genocchi
-    # builds of Cor2/Eq19; every other build is served by truncation
-    assert len(inversions) == 4
+    # e_lambda(t)+1 once, at order 11 for the order-3 Genocchi build of
+    # Cor2/Eq19 that the sweep asks for first; every other build is served
+    # by truncation
+    assert len(inversions) == 1
     assert logs == [(8,)]
 
 
@@ -118,3 +122,55 @@ def test_chain_factors_are_served_by_truncation():
     fresh = verify._chain_factors(ks, stirling1_deg_recurrence(6), verify._chain_products(3, 6))
     assert low == fresh == high[:7]
     assert verify._chain_products(3, 9)[:7] == verify._chain_products(3, 6)
+
+
+def test_numeric_lambda_build_leaves_the_store_alone():
+    # a store's keys carry no lambda: a build at a given lambda must neither
+    # read the symbolic entries (order 6, below them) nor replace them (order 12)
+    memo = FamilyMemo()
+    memo.multi_poly_genocchi((1, 2), "x", 9)
+    memo.euler_order(2, "x", 9)
+    before = dict(memo._store._entries)
+    half = Fraction(1, 2)
+    built = {}
+    with families.sharing(memo._store):
+        for n in (6, 12):
+            built[n] = families.multi_poly_genocchi_deg((1, 2), "x", n, lam=MultiPoly.const(half))
+            families.euler_deg_order(2, "x", n, lam=MultiPoly.const(half))
+    for n, at_half in built.items():
+        symbolic = families.multi_poly_genocchi_deg((1, 2), "x", n).values
+        assert at_half.values == tuple(v.substitute("lambda", half) for v in symbolic)
+    after = memo._store._entries
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+
+
+def test_memo_builds_everything_symbolically():
+    memo = FamilyMemo()
+    run_identity("all", 4, memo=memo)
+    entries = [value for _, value in memo._store._entries.values()]
+    tables = [e for e in entries if isinstance(e, (PolyFamily, StirlingTable))]
+    assert len(tables) > 20
+    for table in tables:
+        values = table.values if isinstance(table, PolyFamily) else sum(table.entries, ())
+        assert any(value.degree("lambda") for value in values), table
+    for series in (e for e in entries if isinstance(e, TruncatedSeries)):
+        assert any(coeff.degree("lambda") for coeff in series.coeffs)
+
+
+def test_lambda_zero_checks_substitute_symbolic_builds(monkeypatch):
+    # LambdaZeroClassical stays a route of its own: build at symbolic lambda,
+    # then set lambda = 0, never build at lambda = 0 directly
+    seen = []
+    original = verify._at_lambda0
+
+    def spy(values):
+        values = list(values)
+        seen.append(values)
+        return original(values)
+
+    monkeypatch.setattr(verify, "_at_lambda0", spy)
+    (report,) = [r for r in verify.check_basics(5) if r.identity_id == "LambdaZeroClassical"]
+    assert report.passed
+    assert len(seen) == 6
+    assert all(any(value.degree("lambda") for value in values) for values in seen)
