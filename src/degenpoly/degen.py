@@ -195,9 +195,7 @@ def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) ->
         raise ValueError("need at least one polyexponential index")
     if order < 0:
         raise ValueError("series order must be nonnegative")
-    ones = [ONE]
-    for n in range(1, order + 1):
-        ones.append(ones[-1] * (ONE - lam * (n - 1)) if n > 1 else ONE)
+    ones = deg_falling_factorials(1, order, lam=lam)
     level: list[MultiPoly] | None = None
     for k in ks:
         nxt: list[MultiPoly] = [ZERO] * (order + 1)

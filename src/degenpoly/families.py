@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar, Union
 
@@ -62,7 +62,8 @@ class PolyFamily:
     """A polynomial family evaluated to order ``n_max``.
 
     ``values[n]`` is the n-th member as an exact polynomial in lambda (and
-    x, y when the argument is symbolic); a build at a constant ``lam`` holds
+    x, y when the argument is symbolic); ``lam`` is the lambda it was built
+    at, the symbol ``LAM`` or a constant, and a build at a constant holds
     the members at that lambda.  ``r`` and ``ks`` are populated for the
     order-r and poly/multi-poly variants respectively.
     """
@@ -73,6 +74,7 @@ class PolyFamily:
     values: tuple[MultiPoly, ...]
     r: int | None = None
     ks: tuple[int, ...] | None = None
+    lam: MultiPoly = field(default_factory=lambda: LAM)
 
 
 class SubSeriesStore:
@@ -128,7 +130,7 @@ def _active_store(lam: MultiPoly) -> SubSeriesStore | None:
 
 
 def _shared_series(
-    key: Hashable, order: int, build: Callable[[int], TruncatedSeries], lam: MultiPoly
+    key: Hashable, order: int, build: Callable[[int], TruncatedSeries], *, lam: MultiPoly
 ):
     """``build(order)``, or the active store's copy of it."""
     store = _active_store(lam)
@@ -141,18 +143,18 @@ def _truncate_powers(powers: tuple[TruncatedSeries, ...], order: int):
     return tuple(power.truncate(order) for power in powers[:order])
 
 
-def _two_over_exp_plus_one(order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
+def _two_over_exp_plus_one(order: int, *, lam: MultiPoly) -> TruncatedSeries:
     """``2 / (e_lambda(t) + 1)``, the factor every kernel is built from."""
     return (deg_exp(1, order, lam=lam) + 1).invert() * 2
 
 
-def _two_over_exp_plus_one_power(r: int, order: int, lam: MultiPoly) -> TruncatedSeries:
+def _two_over_exp_plus_one_power(r: int, order: int, *, lam: MultiPoly) -> TruncatedSeries:
     """``(2 / (e_lambda(t) + 1))^r``, shared by the Euler and multi-poly kernels."""
-    base = _shared_series("2/(e+1)", order, lambda n: _two_over_exp_plus_one(n, lam=lam), lam)
-    return _shared_series(("2/(e+1)", r), order, lambda _: base**r, lam)
+    base = _shared_series("2/(e+1)", order, lambda n: _two_over_exp_plus_one(n, lam=lam), lam=lam)
+    return _shared_series(("2/(e+1)", r), order, lambda _: base**r, lam=lam)
 
 
-def _compose_with_log(outer: TruncatedSeries, *, lam: MultiPoly = LAM) -> TruncatedSeries:
+def _compose_with_log(outer: TruncatedSeries, *, lam: MultiPoly) -> TruncatedSeries:
     """``outer(log_lambda(1+t))``; inside a memo, the log and its powers come from its store."""
     order = outer.order
     store = _active_store(lam)
@@ -169,19 +171,19 @@ def _family(
     argument: Argument,
     n_max: int,
     *,
-    lam: MultiPoly = LAM,
+    lam: MultiPoly,
     **fields,
 ) -> PolyFamily:
     """The family whose egf is ``kernel * e_lambda^argument(t)``."""
     arg = _norm_argument(argument)
     gen = kernel * deg_exp(arg, n_max, lam=lam)
     values = tuple(gen.egf_coeff(n) for n in range(n_max + 1))
-    return PolyFamily(family_id, arg, n_max, values, **fields)
+    return PolyFamily(family_id, arg, n_max, values, lam=lam, **fields)
 
 
 def genocchi_deg(argument: Argument, n_max: int, *, lam: MultiPoly = LAM) -> PolyFamily:
     """Degenerate Genocchi polynomials ``G_{n,lambda}(argument)``."""
-    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam)
+    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)
     return _family(GENOCCHI, kernel, argument, n_max, lam=lam)
 
 
@@ -192,7 +194,7 @@ def genocchi_deg_order(
     if r < 1:
         raise ValueError("order r must be at least 1")
     # (2t/(e+1))^r, not t^r times the Euler kernel: Eq19 checks one against the other
-    kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam)) ** r
+    kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)) ** r
     return _family(GENOCCHI_ORDER, kernel, argument, n_max, lam=lam, r=r)
 
 
@@ -202,7 +204,7 @@ def euler_deg_order(
     """Degenerate Euler polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
-    kernel = _two_over_exp_plus_one_power(r, n_max, lam)
+    kernel = _two_over_exp_plus_one_power(r, n_max, lam=lam)
     return _family(EULER_ORDER, kernel, argument, n_max, lam=lam, r=r)
 
 
@@ -211,7 +213,7 @@ def poly_genocchi_deg(
 ) -> PolyFamily:
     """Degenerate poly-Genocchi polynomials ``g_{n,lambda}^{(k)}(argument)``."""
     num = _compose_with_log(deg_polyexp(k, n_max, lam=lam), lam=lam)
-    kernel = num * _two_over_exp_plus_one_power(1, n_max, lam)
+    kernel = num * _two_over_exp_plus_one_power(1, n_max, lam=lam)
     return _family(POLY_GENOCCHI, kernel, argument, n_max, lam=lam, ks=(int(k),))
 
 
@@ -221,7 +223,7 @@ def multi_poly_genocchi_deg(
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
     ks = tuple(int(k) for k in ks)
     num = _compose_with_log(deg_multi_polyexp(ks, n_max, lam=lam), lam=lam)
-    kernel = num * _two_over_exp_plus_one_power(len(ks), n_max, lam)
+    kernel = num * _two_over_exp_plus_one_power(len(ks), n_max, lam=lam)
     return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, lam=lam, r=len(ks), ks=ks)
 
 
@@ -229,15 +231,16 @@ def expand_in_deg_falling_basis(family: PolyFamily) -> list[list[MultiPoly]]:
     """Rewrite each ``values[n]`` in the basis ``(x)_{m,lambda}``.
 
     Returns per-n coefficient lists ``coeffs[n][m]`` (polynomials in lambda)
-    with ``values[n] = sum_m coeffs[n][m] * (x)_{m,lambda}``.  The family
-    must have been built at symbolic argument ``"x"``; since
+    with ``values[n] = sum_m coeffs[n][m] * (x)_{m,lambda}``, the basis taken
+    at the lambda the family was built at.  The family must have been built
+    at symbolic argument ``"x"``; since
     ``(x)_{m,lambda}`` is monic of degree m in x, top-down elimination of
     leading x-coefficients terminates, and a nonzero remainder (e.g. a stray
     y term) raises ``RuntimeError``.
     """
     if family.argument != "x":
         raise ValueError("basis expansion needs a family built at argument 'x'")
-    basis = deg_falling_factorials("x", family.n_max)
+    basis = deg_falling_factorials("x", family.n_max, lam=family.lam)
     out: list[list[MultiPoly]] = []
     for n, value in enumerate(family.values):
         coeffs: list[MultiPoly] = [ZERO] * (n + 1)

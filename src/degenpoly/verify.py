@@ -551,11 +551,11 @@ def run_identity(
     if identity == "basics":
         return check_basics(n_max, memo)
     if identity == "all":
-        # Eq19 (r <= EQ19_R_MAX) and Cor2 (r = len(ks)) ask for order-r Genocchi at
-        # n_max + r, the highest orders of the sweep.  Building the highest
-        # first lets the memo invert e_lambda(t)+1 once and cut every later
-        # request down from it.
-        r_top = max([EQ19_R_MAX, *map(len, lists)])
+        # Eq19 (r <= EQ19_R_MAX) and Cor2 (r = len(ks) <= n_max; a longer list
+        # gives a vacuous report) ask for order-r Genocchi at n_max + r, the
+        # highest orders of the sweep.  Building the highest first lets the
+        # memo invert e_lambda(t)+1 once and cut every later request down from it.
+        r_top = max([EQ19_R_MAX, *(len(ks) for ks in lists if len(ks) <= n_max)])
         memo.genocchi_order(r_top, "x", n_max + r_top)
         reports: list[VerifyReport] = []
         for name, checker in PER_KS_CHECKS.items():

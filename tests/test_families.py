@@ -163,6 +163,18 @@ def test_expand_in_deg_falling_basis_matches_number_expansion():
             assert coeffs[n][m] == binomial(n, m) * numbers.values[n - m], (n, m)
 
 
+def test_expand_uses_the_basis_at_the_family_lambda():
+    # a family built at lambda = 1/2 expands over (x)_{m,1/2}, with rational
+    # coefficients, not over the symbolic-lambda basis
+    half = Fraction(1, 2)
+    fam = genocchi_deg("x", 6, lam=MultiPoly.const(half))
+    assert fam.lam == MultiPoly.const(half)
+    symbolic = expand_in_deg_falling_basis(genocchi_deg("x", 6))
+    coeffs = expand_in_deg_falling_basis(fam)
+    assert coeffs == [[c.substitute("lambda", half) for c in row] for row in symbolic]
+    assert not any(c.degree("lambda") for row in coeffs for c in row)
+
+
 def test_expand_requires_symbolic_x():
     with pytest.raises(ValueError):
         expand_in_deg_falling_basis(genocchi_deg(0, 4))

@@ -94,6 +94,15 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     assert logs == [(8,)]
 
 
+def test_full_sweep_builds_no_order_beyond_what_it_reads(monkeypatch):
+    # a k-list longer than n_max gives a vacuous Cor2 that reads no order-r
+    # Genocchi family, so the sweep must not build one for it
+    builds = _count_calls(monkeypatch, families, "genocchi_deg_order")
+    run_identity("all", 3, k_lists=[(1, 2), (1, 2, 3, 4, 5)])
+    assert max(r for r, _, _ in builds) == verify.EQ19_R_MAX
+    assert builds[0] == (verify.EQ19_R_MAX, "x", 3 + verify.EQ19_R_MAX)
+
+
 def test_builder_that_raises_leaves_no_store_active():
     memo = FamilyMemo()
     with pytest.raises(ValueError):
