@@ -24,11 +24,12 @@ directory prefix for relative ``--out`` paths.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__, degen, families
 from . import verify as verify_mod
@@ -154,17 +155,61 @@ def _write_text(text: str, out: str) -> None:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``payload`` as the standard ``json`` module writes it with ``indent=2``, plus a newline.
+
+    With an indent the standard library leaves its C encoder for a
+    pure-Python one that makes several generator steps per value.
+    Takes dicts with str keys, lists, tuples, str, int, bool and None; any
+    other value raises ``TypeError``.
+    """
+    return _json_text(payload, "") + "\n"
+
+
+def _json_text(obj, indent: str) -> str:
+    """One value of :func:`_render_json`; ``indent`` is the indent of its line."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sep.join(_encode_str(key) + ": " + _json_text(v, inner) for key, v in obj.items())
+        return "{\n" + inner + items + "\n" + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "[]"
+    if set(map(type, obj)) == {tuple} and set(map(len, obj)) == {2}:
+        # string pairs (term_texts output) render in one join, no call per pair
+        flat = list(chain.from_iterable(obj))
+        if set(map(type, flat)) == {str}:
+            deeper = inner + "  "
+            strings = map(_encode_str, flat)
+            pairs = map((",\n" + deeper).join, zip(strings, strings))
+            body = ("\n" + inner + "]" + sep + "[\n" + deeper).join(pairs)
+            return "[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n" + indent + "]"
+    return "[\n" + inner + sep.join(_json_text(v, inner) for v in obj) + "\n" + indent + "]"
 
 
 def _poly_record(
-    family_id: str, params: dict, n: int, value: MultiPoly, k: int | None = None
+    family_id: str, params: dict, n: int, value: MultiPoly, k: int | None, with_value: bool
 ) -> dict:
+    """One table row; ``with_value`` adds the rendered ``value`` that only JSON prints."""
     record: dict = {"family_id": family_id, "params": params, "n": n}
     if k is not None:
         record["k"] = k
     texts = term_texts(value)
-    record["value"] = render_terms(texts)
+    if with_value:
+        record["value"] = render_terms(texts)
     record["value_terms"] = texts
     return record
 
@@ -237,8 +282,9 @@ def cmd_compute(args, parser: argparse.ArgumentParser) -> int:
         built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max, lam=lam)
     except ValueError as exc:
         parser.error(str(exc))
+    with_value = args.format == "json"
     records = [
-        _poly_record(family_id, params, n, value, k=k)
+        _poly_record(family_id, params, n, value, k, with_value)
         for n, k, value in _entries(built, args.n_max)
     ]
 

@@ -19,6 +19,7 @@ The canonical text form orders monomials by descending exponent triple
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -270,8 +271,12 @@ X = MultiPoly.sym("x")
 Y = MultiPoly.sym("y")
 
 
+@functools.cache
 def monomial_text(exps: Exponents) -> str:
-    """Canonical text of a monomial, ``1`` for the constant monomial."""
+    """Canonical text of a monomial, ``1`` for the constant monomial.
+
+    Cached: a table has a few hundred distinct monomials over many terms.
+    """
     bits = []
     for name, e in zip(SYMBOLS, exps):
         if e == 1:

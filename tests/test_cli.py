@@ -121,34 +121,55 @@ def test_usage_errors_exit_2(args):
     assert proc.stderr != ""
 
 
+# (file under tests/data, argv, expected exit code)
 GOLDEN_CASES = [
     (
         "genocchi_lam0_arg0_n8.csv",
         ["compute", "--family", "genocchi", "--n-max", "8", "--lambda", "0",
          "--arg", "0", "--format", "csv"],
+        0,
     ),
     (
         "stirling1_sym_n3.json",
         ["compute", "--family", "stirling1", "--n-max", "3", "--lambda", "sym"],
+        0,
     ),
     (
         "multi_poly_genocchi_k1_sym_n6.json",
         ["compute", "--family", "multi-poly-genocchi", "--ks", "1", "--n-max", "6",
          "--lambda", "sym", "--arg", "sym-x"],
+        0,
     ),
     (
         "genocchi_sym_n6.json",
         ["compute", "--family", "genocchi", "--n-max", "6", "--lambda", "sym",
          "--arg", "sym-x"],
+        0,
+    ),
+    (
+        "verify_thm1_ks12_n4.json",
+        ["verify", "--identity", "thm1", "--ks", "1,2", "--n-max", "4", "--format", "json"],
+        0,
+    ),
+    (
+        "verify_thm1_ks12_n4_corrupt.json",
+        ["verify", "--identity", "thm1", "--ks", "1,2", "--n-max", "4", "--format", "json",
+         "--corrupt"],
+        1,
+    ),
+    (
+        "verify_cor2_ks123_n2_vacuous.json",
+        ["verify", "--identity", "cor2", "--ks", "1,2,3", "--n-max", "2", "--format", "json"],
+        0,
     ),
 ]
 
 
-@pytest.mark.parametrize("name,args", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_golden_files_regenerate_byte_exact(name, args, tmp_path):
+@pytest.mark.parametrize("name,args,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_files_regenerate_byte_exact(name, args, code, tmp_path):
     out = tmp_path / name
     proc = run_cli(*args, "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert out.read_bytes() == (DATA_DIR / name).read_bytes()
 
 
