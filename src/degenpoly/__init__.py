@@ -12,7 +12,6 @@ from .degen import (
     StirlingTable,
     classical_falling_factorial,
     deg_exp,
-    deg_falling_factorial,
     deg_log,
     deg_multi_polyexp,
     deg_polyexp,
@@ -23,7 +22,6 @@ from .degen import (
 from .families import (
     PolyFamily,
     euler_deg_order,
-    expand_in_deg_falling_basis,
     genocchi_deg,
     genocchi_deg_order,
     multi_poly_genocchi_deg,
@@ -36,7 +34,6 @@ from .poly import (
     Y,
     ZERO,
     MultiPoly,
-    binomial,
     monomial_text,
     parse_poly,
     render_poly,
@@ -62,7 +59,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "MultiPoly",
-    "binomial",
     "parse_poly",
     "render_poly",
     "monomial_text",
@@ -75,7 +71,6 @@ __all__ = [
     "StirlingTable",
     "classical_falling_factorial",
     "deg_exp",
-    "deg_falling_factorial",
     "deg_log",
     "deg_multi_polyexp",
     "deg_polyexp",
@@ -84,7 +79,6 @@ __all__ = [
     "stirling1_deg_series",
     "PolyFamily",
     "euler_deg_order",
-    "expand_in_deg_falling_basis",
     "genocchi_deg",
     "genocchi_deg_order",
     "multi_poly_genocchi_deg",

@@ -346,6 +346,10 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         reports = verify_mod.run_identity(args.identity, args.n_max, k_lists, memo)
     except ValueError as exc:
         parser.error(str(exc))
+    if not reports:
+        # the default sweep skips k-lists longer than n_max; a run that
+        # checked nothing must not read as a pass
+        parser.error(f"no sweep k-list is short enough for --n-max {args.n_max}")
     passed = all(report.passed for report in reports)
 
     if args.format == "json":

@@ -3,8 +3,8 @@
 Everything here is parameterized by the deformation parameter lambda and
 reduces to a classical object at lambda = 0:
 
-* degenerate falling factorial ``(w)_{n,lambda} = w (w - lambda) ... (w - (n-1) lambda)``,
-  singly or as the list ``(w)_{0..n,lambda}``
+* degenerate falling factorials ``(w)_{n,lambda} = w (w - lambda) ... (w - (n-1) lambda)``,
+  as the list ``(w)_{0..n,lambda}``
 * degenerate exponential ``e_lambda^w(t) = (1 + lambda t)^{w/lambda}``,
   whose egf coefficients are the falling factorials
 * degenerate logarithm ``log_lambda(1 + t)``, the compositional inverse of
@@ -57,11 +57,6 @@ def deg_falling_factorials(base: Weight, n_max: int, *, lam: MultiPoly = LAM) ->
     for i in range(n_max):
         out.append(out[-1] * (b - lam * i))
     return out
-
-
-def deg_falling_factorial(base: Weight, n: int) -> MultiPoly:
-    """Degenerate falling factorial ``(base)_{n,lambda}``; 1 when n = 0."""
-    return deg_falling_factorials(base, n)[n]
 
 
 def classical_falling_factorial(n: int) -> MultiPoly:

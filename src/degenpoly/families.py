@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar, Union
 
-from .degen import deg_exp, deg_falling_factorials, deg_log, deg_multi_polyexp, deg_polyexp
-from .poly import LAM, ZERO, MultiPoly
+from .degen import deg_exp, deg_log, deg_multi_polyexp, deg_polyexp
+from .poly import LAM, MultiPoly
 from .series import TruncatedSeries
 
 Argument = Union[str, int, Fraction]
@@ -62,10 +62,8 @@ class PolyFamily:
     """A polynomial family evaluated to order ``n_max``.
 
     ``values[n]`` is the n-th member as an exact polynomial in lambda (and
-    x, y when the argument is symbolic); ``lam`` is the lambda it was built
-    at, the symbol ``LAM`` or a constant, and a build at a constant holds
-    the members at that lambda.  ``r`` and ``ks`` are populated for the
-    order-r and poly/multi-poly variants respectively.
+    x, y when the argument is symbolic).  ``r`` and ``ks`` are populated for
+    the order-r and poly/multi-poly variants respectively.
     """
 
     family_id: str
@@ -74,7 +72,6 @@ class PolyFamily:
     values: tuple[MultiPoly, ...]
     r: int | None = None
     ks: tuple[int, ...] | None = None
-    lam: MultiPoly = field(default_factory=lambda: LAM)
 
 
 class SubSeriesStore:
@@ -178,7 +175,7 @@ def _family(
     arg = _norm_argument(argument)
     gen = kernel * deg_exp(arg, n_max, lam=lam)
     values = tuple(gen.egf_coeff(n) for n in range(n_max + 1))
-    return PolyFamily(family_id, arg, n_max, values, lam=lam, **fields)
+    return PolyFamily(family_id, arg, n_max, values, **fields)
 
 
 def genocchi_deg(argument: Argument, n_max: int, *, lam: MultiPoly = LAM) -> PolyFamily:
@@ -225,32 +222,3 @@ def multi_poly_genocchi_deg(
     num = _compose_with_log(deg_multi_polyexp(ks, n_max, lam=lam), lam=lam)
     kernel = num * _two_over_exp_plus_one_power(len(ks), n_max, lam=lam)
     return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, lam=lam, r=len(ks), ks=ks)
-
-
-def expand_in_deg_falling_basis(family: PolyFamily) -> list[list[MultiPoly]]:
-    """Rewrite each ``values[n]`` in the basis ``(x)_{m,lambda}``.
-
-    Returns per-n coefficient lists ``coeffs[n][m]`` (polynomials in lambda)
-    with ``values[n] = sum_m coeffs[n][m] * (x)_{m,lambda}``, the basis taken
-    at the lambda the family was built at.  The family must have been built
-    at symbolic argument ``"x"``; since
-    ``(x)_{m,lambda}`` is monic of degree m in x, top-down elimination of
-    leading x-coefficients terminates, and a nonzero remainder (e.g. a stray
-    y term) raises ``RuntimeError``.
-    """
-    if family.argument != "x":
-        raise ValueError("basis expansion needs a family built at argument 'x'")
-    basis = deg_falling_factorials("x", family.n_max, lam=family.lam)
-    out: list[list[MultiPoly]] = []
-    for n, value in enumerate(family.values):
-        coeffs: list[MultiPoly] = [ZERO] * (n + 1)
-        rem = value
-        for m in range(n, -1, -1):
-            c = rem.coeff_x(m)
-            coeffs[m] = c
-            if c:
-                rem = rem - c * basis[m]
-        if rem:
-            raise RuntimeError(f"basis expansion left a remainder at n={n}: {rem}")
-        out.append(coeffs)
-    return out

@@ -9,7 +9,8 @@ equality of ``(num, den)`` is mathematical equality of polynomials.  A
 product multiplies integers and denominators, a sum works over the lcm of
 the two denominators, and each result is reduced by one multi-argument gcd,
 so no per-coefficient :class:`fractions.Fraction` arithmetic is paid.
-:func:`sum_of_products` reduces a whole ``sum c * p * q`` once, not per addend.
+:func:`sum_of_products` reduces a whole ``sum c * p * q`` once, not per addend,
+and ``p * q`` is its one-term case.
 :attr:`MultiPoly.terms` gives the coefficients as reduced ``Fraction`` values.
 
 The canonical text form orders monomials by descending exponent triple
@@ -30,13 +31,6 @@ Scalar = Union[int, Fraction]
 
 SYMBOLS = ("lambda", "x", "y")
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
-
-
-def binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient C(n, k) as an exact rational (0 when k > n)."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial needs nonnegative arguments, got ({n}, {k})")
-    return Fraction(math.comb(n, k))
 
 
 def _canonical(num: dict[Exponents, int], den: int) -> "MultiPoly":
@@ -155,14 +149,7 @@ class MultiPoly:
             return _canonical(num, self.den * c.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: dict[Exponents, int] = {}
-        get = out.get
-        right = other.num.items()
-        for (a1, b1, c1), v1 in self.num.items():
-            for (a2, b2, c2), v2 in right:
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                out[key] = get(key, 0) + v1 * v2
-        return _canonical(out, self.den * other.den)
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 

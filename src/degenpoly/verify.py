@@ -51,7 +51,7 @@ from .degen import (
     stirling1_deg_recurrence,
 )
 from .families import PolyFamily
-from .poly import X, ZERO, MultiPoly, binomial, sum_of_products
+from .poly import X, ZERO, MultiPoly, sum_of_products
 from .series import TruncatedSeries
 
 ParamItems = tuple[tuple[str, object], ...]
@@ -315,7 +315,8 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
     # Eq19 weight: E^(r)_l = G^(r)_{l+r} / (r! C(l+r, l))
     r_fact = math.factorial(r)
     euler = [
-        gen_r.values[l + r] * (1 / (r_fact * binomial(l + r, l))) for l in range(n_max - r + 1)
+        gen_r.values[l + r] * Fraction(1, r_fact * math.comb(l + r, l))
+        for l in range(n_max - r + 1)
     ]
     cells = _chain_cells(ks, fam.values, euler, memo, n_max)
     return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), tuple(cells))
@@ -333,7 +334,7 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
     euler_mix: list[MultiPoly] = [ZERO] * (n_max + 1)
     euler_mix[0] = MultiPoly.const(2**r)
     for l in range(1, r + 1):
-        weight = binomial(r, l) * (-1) ** l * 2 ** (r - l)
+        weight = math.comb(r, l) * (-1) ** l * 2 ** (r - l)
         numbers = memo.euler_order(l, Fraction(0), n_max)
         for m in range(n_max + 1):
             euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
@@ -383,7 +384,7 @@ def check_eq19(n_max: int, r_max: int = 3, memo: FamilyMemo | None = None) -> Ve
         euler = memo.euler_order(r, "x", n_max).values
         gen = memo.genocchi_order(r, "x", n_max + r).values
         scale = math.factorial(r)
-        lhs = [value * (scale * binomial(n + r, n)) for n, value in enumerate(euler)]
+        lhs = [value * (scale * math.comb(n + r, n)) for n, value in enumerate(euler)]
         cells += _rows((("r", r),), lhs, gen[r:])
     return VerifyReport("Eq19", (("r_max", r_max), ("n_max", n_max)), tuple(cells))
 

@@ -19,7 +19,7 @@ import pytest
 from degenpoly.degen import (
     classical_falling_factorial,
     deg_exp,
-    deg_falling_factorial,
+    deg_falling_factorials,
     deg_log,
     deg_multi_polyexp,
     deg_polyexp,
@@ -27,7 +27,7 @@ from degenpoly.degen import (
     stirling1_deg_series,
 )
 from degenpoly.families import multi_poly_genocchi_deg
-from degenpoly.poly import LAM, ONE, ZERO, MultiPoly, binomial
+from degenpoly.poly import LAM, ONE, ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
 from degenpoly.verify import (
     FamilyMemo,
@@ -39,6 +39,7 @@ from degenpoly.verify import (
     check_vanishing,
     default_k_lists,
 )
+from falling_basis import falling_basis_coeffs
 
 DATA_DIR = Path(__file__).parent / "data"
 SWEEP_N_MAX = 10
@@ -112,6 +113,7 @@ def test_criterion_05_prop4_trivariate(sweep):
     memo = sweep["memo"]
     reports = [check_prop4(ks, PROP4_N_MAX, memo) for ks in sweep["lists"]]
     ok = all(rep.passed for rep in reports)
+    fall_y = deg_falling_factorials("y", PROP4_N_MAX)
     # y = 0 collapses the identity to g_n(x) = g_n(x)
     for ks in ((1,), (1, 2), (1, 1, 1)):
         fam_xy = memo.multi_poly_genocchi(ks, "x+y", PROP4_N_MAX)
@@ -122,7 +124,7 @@ def test_criterion_05_prop4_trivariate(sweep):
             # x = 0 reproduces the number expansion in y
             rhs = ZERO
             for l in range(n + 1):
-                rhs = rhs + binomial(n, l) * numbers.values[l] * deg_falling_factorial("y", n - l)
+                rhs = rhs + math.comb(n, l) * numbers.values[l] * fall_y[n - l]
             ok = ok and fam_xy.values[n].substitute("x", 0) == rhs
     report(
         "criterion 5: Proposition 4 trivariate identity and specializations",
@@ -131,28 +133,17 @@ def test_criterion_05_prop4_trivariate(sweep):
     )
 
 
-def stirling_by_change_of_basis(n: int, k: int) -> MultiPoly:
-    rem = classical_falling_factorial(n)
-    coeffs = {}
-    for m in range(n, -1, -1):
-        c = rem.coeff_x(m)
-        coeffs[m] = c
-        if c:
-            rem = rem - c * deg_falling_factorial("x", m)
-    assert not rem
-    return coeffs.get(k, ZERO)
-
-
 def test_criterion_06_stirling_triple_oracle():
     n_max = 12
     table = stirling1_deg_recurrence(n_max)
     ok = True
     for n in range(n_max + 1):
         fall = classical_falling_factorial(n)
+        by_basis = falling_basis_coeffs(fall, n)
         for k in range(n + 1):
             value = table.value(n, k)
             ok = ok and value == stirling1_deg_series(n, k, n_max)
-            ok = ok and value == stirling_by_change_of_basis(n, k)
+            ok = ok and value == by_basis[k]
             ok = ok and value.substitute("lambda", 0) == fall.coeff_x(k)
     report(
         "criterion 6: Stirling triple oracle and classical limit",

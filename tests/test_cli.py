@@ -246,6 +246,21 @@ def test_verify_prop4_trivial_cell():
     assert "cells=1" in proc.stdout
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_sweep_that_checks_nothing_exits_2(fmt):
+    # at --n-max 0 the default sweep skips every k-list, so thm1 would run no report
+    proc = run_cli("verify", "--identity", "thm1", "--n-max", "0", "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    message = "degenpoly: error: no sweep k-list is short enough for --n-max 0"
+    assert proc.stderr.splitlines()[-1] == message
+    # all still checks the Eq19 and basics cells there
+    full = run_cli("verify", "--identity", "all", "--n-max", "0", "--format", fmt)
+    assert full.returncode == 0
+    if fmt == "json":
+        assert json.loads(full.stdout)["reports"]
+
+
 def test_verify_r_filter_restricts_sweep():
     proc = run_cli(
         "verify", "--identity", "eq15", "--r", "2", "--n-max", "4", "--format", "json"

@@ -14,7 +14,6 @@ import pytest
 from degenpoly.degen import (
     classical_falling_factorial,
     deg_exp,
-    deg_falling_factorial,
     deg_falling_factorials,
     deg_log,
     deg_multi_polyexp,
@@ -25,20 +24,21 @@ from degenpoly.degen import (
 )
 from degenpoly.poly import LAM, ONE, X, Y, ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
+from falling_basis import falling_basis_coeffs
 
 
 def test_deg_falling_factorial_hand_values():
-    assert deg_falling_factorial("x", 0) == ONE
-    assert deg_falling_factorial("x", 1) == X
-    assert deg_falling_factorial("x", 2) == X**2 - LAM * X
-    assert deg_falling_factorial(1, 2) == ONE - LAM
-    assert deg_falling_factorial(1, 3) == (1 - LAM) * (1 - 2 * LAM)
-    assert deg_falling_factorial(Fraction(1, 2), 1) == MultiPoly.const(Fraction(1, 2))
-    assert deg_falling_factorial("y", 2) == Y**2 - LAM * Y
+    assert deg_falling_factorials("x", 0)[0] == ONE
+    assert deg_falling_factorials("x", 1)[1] == X
+    assert deg_falling_factorials("x", 2)[2] == X**2 - LAM * X
+    assert deg_falling_factorials(1, 2)[2] == ONE - LAM
+    assert deg_falling_factorials(1, 3)[3] == (1 - LAM) * (1 - 2 * LAM)
+    assert deg_falling_factorials(Fraction(1, 2), 1)[1] == MultiPoly.const(Fraction(1, 2))
+    assert deg_falling_factorials("y", 2)[2] == Y**2 - LAM * Y
     with pytest.raises(ValueError):
-        deg_falling_factorial("x", -1)
+        deg_falling_factorials("x", -1)
     with pytest.raises(ValueError):
-        deg_falling_factorial("z", 1)
+        deg_falling_factorials("z", 1)
 
 
 def test_deg_falling_factorials_list_every_order():
@@ -60,14 +60,16 @@ def test_classical_falling_factorial():
     assert classical_falling_factorial(0) == ONE
     assert classical_falling_factorial(3) == X * (X - 1) * (X - 2)
     # degenerate version at lambda = 1 collapses to the classical one
-    assert deg_falling_factorial("x", 4).substitute("lambda", 1) == classical_falling_factorial(4)
+    at_one = deg_falling_factorials("x", 4)[4].substitute("lambda", 1)
+    assert at_one == classical_falling_factorial(4)
 
 
 def test_deg_exp_egf_coefficients_are_falling_factorials():
     for weight in ("x", "y", 1, Fraction(2, 3)):
         series = deg_exp(weight, 6)
+        falling = deg_falling_factorials(weight, 6)
         for n in range(7):
-            assert series.egf_coeff(n) == deg_falling_factorial(weight, n)
+            assert series.egf_coeff(n) == falling[n]
 
 
 def test_deg_exp_sum_weight_matches_product():
@@ -122,27 +124,16 @@ def test_stirling_recurrence_hand_values():
         stirling1_deg_recurrence(-1)
 
 
-def stirling_by_change_of_basis(n: int, k: int) -> MultiPoly:
-    """Independent route: expand (x)_n over the monic basis (x)_{m,lambda}."""
-    rem = classical_falling_factorial(n)
-    coeffs = {}
-    for m in range(n, -1, -1):
-        c = rem.coeff_x(m)
-        coeffs[m] = c
-        if c:
-            rem = rem - c * deg_falling_factorial("x", m)
-    assert not rem
-    return coeffs.get(k, ZERO)
-
-
 def test_stirling_triple_oracle_to_12():
     n_max = 12
     table = stirling1_deg_recurrence(n_max)
     for n in range(n_max + 1):
+        # independent route: expand (x)_n over the monic basis (x)_{m,lambda}
+        by_basis = falling_basis_coeffs(classical_falling_factorial(n), n)
         for k in range(n + 1):
             recurrence = table.value(n, k)
             assert recurrence == stirling1_deg_series(n, k, n_max), (n, k)
-            assert recurrence == stirling_by_change_of_basis(n, k), (n, k)
+            assert recurrence == by_basis[k], (n, k)
 
 
 def test_stirling_classical_limit():

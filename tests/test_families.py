@@ -1,4 +1,4 @@
-"""Family constructors: frozen low-order values, reductions, basis expansion.
+"""Family constructors: frozen low-order values, reductions, basis coefficients.
 
 Classical Genocchi numbers are frozen from an independent plain-Fraction
 series-division oracle (2t divided by e^t + 1) computed here in the test.
@@ -11,14 +11,14 @@ import pytest
 
 from degenpoly.families import (
     euler_deg_order,
-    expand_in_deg_falling_basis,
     genocchi_deg,
     genocchi_deg_order,
     multi_poly_genocchi_deg,
     poly_genocchi_deg,
 )
-from degenpoly.degen import deg_falling_factorial
-from degenpoly.poly import LAM, ONE, X, ZERO, MultiPoly, binomial
+from degenpoly.degen import deg_falling_factorials
+from degenpoly.poly import LAM, ONE, X, ZERO, MultiPoly
+from falling_basis import falling_basis_coeffs
 
 
 def classical_genocchi_oracle(n_max: int) -> list[Fraction]:
@@ -99,7 +99,7 @@ def test_euler_order_is_genocchi_order_without_t_power():
     euler = euler_deg_order(r, "x", n_max)
     gen = genocchi_deg_order(r, "x", n_max + r)
     for n in range(n_max + 1):
-        scale = math.factorial(r) * binomial(n + r, n)
+        scale = math.factorial(r) * math.comb(n + r, n)
         assert euler.values[n] * scale == gen.values[n + r]
 
 
@@ -142,44 +142,26 @@ def test_multi_poly_genocchi_argument_x_plus_y():
         multi_poly_genocchi_deg((), "x", 5)
 
 
-def test_expand_in_deg_falling_basis_reconstructs():
+def test_falling_basis_coeffs_reconstruct():
     fam = genocchi_deg("x", 6)
-    coeffs = expand_in_deg_falling_basis(fam)
+    basis = deg_falling_factorials("x", 6)
     for n in range(7):
         rebuilt = ZERO
-        for m, c in enumerate(coeffs[n]):
-            rebuilt = rebuilt + c * deg_falling_factorial("x", m)
+        for m, c in enumerate(falling_basis_coeffs(fam.values[n], n)):
+            rebuilt = rebuilt + c * basis[m]
         assert rebuilt == fam.values[n]
 
 
-def test_expand_in_deg_falling_basis_matches_number_expansion():
-    # g_n(x) = sum_l C(n,l) g_l (x)_{n-l,lambda}: basis coefficient at m is
-    # C(n,m) * g_{n-m}
-    fam = multi_poly_genocchi_deg((2,), "x", 6)
-    numbers = multi_poly_genocchi_deg((2,), 0, 6)
-    coeffs = expand_in_deg_falling_basis(fam)
-    for n in range(7):
-        for m in range(n + 1):
-            assert coeffs[n][m] == binomial(n, m) * numbers.values[n - m], (n, m)
-
-
-def test_expand_uses_the_basis_at_the_family_lambda():
-    # a family built at lambda = 1/2 expands over (x)_{m,1/2}, with rational
-    # coefficients, not over the symbolic-lambda basis
-    half = Fraction(1, 2)
-    fam = genocchi_deg("x", 6, lam=MultiPoly.const(half))
-    assert fam.lam == MultiPoly.const(half)
-    symbolic = expand_in_deg_falling_basis(genocchi_deg("x", 6))
-    coeffs = expand_in_deg_falling_basis(fam)
-    assert coeffs == [[c.substitute("lambda", half) for c in row] for row in symbolic]
-    assert not any(c.degree("lambda") for row in coeffs for c in row)
-
-
-def test_expand_requires_symbolic_x():
-    with pytest.raises(ValueError):
-        expand_in_deg_falling_basis(genocchi_deg(0, 4))
-    with pytest.raises(ValueError):
-        expand_in_deg_falling_basis(genocchi_deg("x+y", 4))
+def test_falling_basis_coeffs_match_number_expansion():
+    # Eq15, g_n(x) = sum_l C(n,l) g_l (x)_{n-l,lambda}, read off by elimination
+    # rather than by convolution: the basis coefficient at m is C(n,m) * g_{n-m}
+    for ks in ((2,), (1, 2)):
+        fam = multi_poly_genocchi_deg(ks, "x", 6)
+        numbers = multi_poly_genocchi_deg(ks, 0, 6)
+        for n in range(7):
+            coeffs = falling_basis_coeffs(fam.values[n], n)
+            for m in range(n + 1):
+                assert coeffs[m] == math.comb(n, m) * numbers.values[n - m], (ks, n, m)
 
 
 def test_family_metadata():

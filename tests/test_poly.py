@@ -1,6 +1,5 @@
 """Polynomial arithmetic, canonical rendering, and the parser."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from degenpoly.poly import (
     Y,
     ZERO,
     MultiPoly,
-    binomial,
     monomial_text,
     parse_poly,
     render_poly,
@@ -108,15 +106,6 @@ def test_constant_value_rejects_nonconstant():
         X.constant_value()
     assert ZERO.constant_value() == 0
     assert ZERO.is_constant() and not X.is_constant()
-
-
-def test_binomial():
-    for n in range(10):
-        for k in range(n + 2):
-            assert binomial(n, k) == math.comb(n, k)
-    assert binomial(3, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 def test_render_examples():
