@@ -350,6 +350,10 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         # the default sweep skips k-lists longer than n_max; a run that
         # checked nothing must not read as a pass
         parser.error(f"no sweep k-list is short enough for --n-max {args.n_max}")
+    if args.ks == "sweep" and all(report.vacuous for report in reports):
+        # --r keeps sweep k-lists longer than n_max, whose reports check no cell
+        message = f"every report is vacuous: no sweep k-list checks a cell at --n-max {args.n_max}"
+        parser.error(message)
     passed = all(report.passed for report in reports)
 
     if args.format == "json":

@@ -21,10 +21,13 @@ symbol ``LAM`` by default, or a constant polynomial to build the family at
 that value of lambda directly.
 
 Inside :func:`sharing` (a memo's builder calls), symbolic builds take
-``2 / (e_lambda(t) + 1)``, its powers and the powers of ``log_lambda(1+t)``
-from that memo's :class:`SubSeriesStore`, each built once at the largest
-order asked for; outside it, and at any other ``lam``, every build makes
-its own.
+``2 / (e_lambda(t) + 1)``, its powers, the powers of ``log_lambda(1+t)``
+and each k-list's multi-poly-Genocchi kernel from that memo's
+:class:`SubSeriesStore`, each built once at the largest order asked for;
+outside it, and at any other ``lam``, every build makes its own.  Only the
+multi-poly builder reads the kernel entries: ``poly_genocchi_deg`` and
+``genocchi_deg`` build their own kernels, so the verifier can check the
+single-index reductions against them.
 """
 
 from __future__ import annotations
@@ -219,6 +222,11 @@ def multi_poly_genocchi_deg(
 ) -> PolyFamily:
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
     ks = tuple(int(k) for k in ks)
-    num = _compose_with_log(deg_multi_polyexp(ks, n_max, lam=lam), lam=lam)
-    kernel = num * _two_over_exp_plus_one_power(len(ks), n_max, lam=lam)
+
+    # the kernel does not depend on the argument: a memo builds it once per k-list
+    def build(order: int) -> TruncatedSeries:
+        num = _compose_with_log(deg_multi_polyexp(ks, order, lam=lam), lam=lam)
+        return num * _two_over_exp_plus_one_power(len(ks), order, lam=lam)
+
+    kernel = _shared_series(("multi kernel", ks), n_max, build, lam=lam)
     return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, lam=lam, r=len(ks), ks=ks)

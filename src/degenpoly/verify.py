@@ -156,7 +156,9 @@ class FamilyMemo:
     products per r and the chain factors per k-list that Thm1, Cor2 and
     Thm3 share, and, while the memo's own builder calls run, for the
     sub-series the family builders share (``2/(e_lambda(t)+1)`` and its
-    powers, and the powers of ``log_lambda(1+t)``).  Nothing is shared
+    powers, the powers of ``log_lambda(1+t)`` and the multi-poly-Genocchi
+    kernel of each k-list, which the families at ``x``, ``x+y``, 0 and r
+    differ from only by ``e_lambda^arg(t)``).  Nothing is shared
     between two memos or with builders called outside a memo.
 
     With ``corrupt=True`` every multi-poly-Genocchi family served at symbolic

@@ -261,6 +261,18 @@ def test_verify_sweep_that_checks_nothing_exits_2(fmt):
         assert json.loads(full.stdout)["reports"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("identity, r, n_max", [("thm1", "1", "0"), ("cor2", "3", "2")])
+def test_verify_sweep_whose_every_report_is_vacuous_exits_2(identity, r, n_max, fmt):
+    # --r keeps sweep k-lists longer than n_max; each gives a zero-cell report
+    args = ("verify", "--identity", identity, "--r", r, "--n-max", n_max, "--format", fmt)
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    message = "degenpoly: error: every report is vacuous: no sweep k-list checks a cell"
+    assert proc.stderr.splitlines()[-1] == f"{message} at --n-max {n_max}"
+
+
 def test_verify_r_filter_restricts_sweep():
     proc = run_cli(
         "verify", "--identity", "eq15", "--r", "2", "--n-max", "4", "--format", "json"

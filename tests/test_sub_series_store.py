@@ -71,10 +71,12 @@ def test_builder_outside_a_memo_builds_its_own_sub_series(monkeypatch):
     run_identity("all", 4, memo=memo)
     inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
     logs = _count_calls(monkeypatch, families, "deg_log")
+    kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
     families.multi_poly_genocchi_deg((1, 2), "x", 4)
     families.multi_poly_genocchi_deg((1, 2), "x", 4)
     assert len(inversions) == 2
     assert len(logs) == 2
+    assert len(kernels) == 2
     assert families._STORE.get() is None
 
 
@@ -83,9 +85,13 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     products = _count_calls(monkeypatch, verify, "_chain_products")
     inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
     logs = _count_calls(monkeypatch, families, "deg_log")
+    kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
     reports = run_identity("all", 8)
     assert all(report.passed for report in reports)
     assert len(factors) == len(default_k_lists()) == 29
+    # one multi-poly kernel per k-list, shared by the x, x+y, 0 and r families
+    assert sorted(ks for ks, _ in kernels) == sorted(default_k_lists())
+    assert len(kernels) == 29
     assert sorted(r for r, _ in products) == [1, 2, 3]
     # e_lambda(t)+1 once, at order 11 for the order-3 Genocchi build of
     # Cor2/Eq19 that the sweep asks for first; every other build is served
@@ -123,6 +129,25 @@ def test_truncated_sub_series_build_the_same_families():
     assert memo.poly_genocchi(-1, "x", 8) == families.poly_genocchi_deg(-1, "x", 8)
 
 
+@pytest.mark.parametrize("ks", [(2,), (1, -1), (2, 1, 1)])
+def test_truncated_kernel_builds_the_same_families(ks, monkeypatch):
+    # the kernel is built at order 12 for the x family, then cut to order 8
+    # for every other argument
+    memo = FamilyMemo()
+    kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
+    polyexps = _count_calls(monkeypatch, families, "deg_polyexp")
+    memo.multi_poly_genocchi(ks, "x", 12)
+    for arg in ("x+y", Fraction(0), Fraction(len(ks))):
+        assert memo.multi_poly_genocchi(ks, arg, 8) == families.multi_poly_genocchi_deg(ks, arg, 8)
+    assert kernels[0] == (ks, 12)
+    assert len(kernels) == 4  # the three fresh builds outside the memo
+    # ReductionR1K1 checks poly_genocchi(k) against multi((k,)), so the
+    # poly-Genocchi build must make its own kernel, not read the multi one
+    memo.poly_genocchi(ks[0], "x", 8)
+    assert polyexps == [(ks[0], 8)]
+    assert len(kernels) == 4
+
+
 def test_chain_factors_are_served_by_truncation():
     ks = (1, -1, 2)
     memo = FamilyMemo()
@@ -140,16 +165,19 @@ def test_numeric_lambda_build_leaves_the_store_alone():
     memo.multi_poly_genocchi((1, 2), "x", 9)
     memo.euler_order(2, "x", 9)
     before = dict(memo._store._entries)
+    assert ("multi kernel", (1, 2)) in before
     half = Fraction(1, 2)
     built = {}
     with families.sharing(memo._store):
         for n in (6, 12):
             built[n] = families.multi_poly_genocchi_deg((1, 2), "x", n, lam=MultiPoly.const(half))
             families.euler_deg_order(2, "x", n, lam=MultiPoly.const(half))
+        families.multi_poly_genocchi_deg((2, 1), "x", 6, lam=MultiPoly.const(half))
     for n, at_half in built.items():
         symbolic = families.multi_poly_genocchi_deg((1, 2), "x", n).values
         assert at_half.values == tuple(v.substitute("lambda", half) for v in symbolic)
     after = memo._store._entries
+    assert ("multi kernel", (2, 1)) not in after
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
 
