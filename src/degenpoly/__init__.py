@@ -17,7 +17,6 @@ from .degen import (
     deg_polyexp,
     polyexp_modified,
     stirling1_deg_recurrence,
-    stirling1_deg_series,
 )
 from .families import (
     PolyFamily,
@@ -76,7 +75,6 @@ __all__ = [
     "deg_polyexp",
     "polyexp_modified",
     "stirling1_deg_recurrence",
-    "stirling1_deg_series",
     "PolyFamily",
     "euler_deg_order",
     "genocchi_deg",

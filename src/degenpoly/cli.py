@@ -37,18 +37,19 @@ from .degen import StirlingTable
 from .poly import LAM, MultiPoly, render_terms, term_texts
 
 # --family -> (module, builder name, builder inputs before n_max, family id).
+# The family ids live only here; a built family carries its values alone.
 # The builder is looked up on its module at call time.  Inputs: "arg" is
 # --arg, "r" is --r, "ks" is --ks and "k" is its single index.
 FAMILIES = {
-    "genocchi": (families, "genocchi_deg", ("arg",), families.GENOCCHI),
-    "genocchi-r": (families, "genocchi_deg_order", ("r", "arg"), families.GENOCCHI_ORDER),
-    "euler-r": (families, "euler_deg_order", ("r", "arg"), families.EULER_ORDER),
-    "poly-genocchi": (families, "poly_genocchi_deg", ("k", "arg"), families.POLY_GENOCCHI),
+    "genocchi": (families, "genocchi_deg", ("arg",), "GenocchiDeg"),
+    "genocchi-r": (families, "genocchi_deg_order", ("r", "arg"), "GenocchiDegOrderR"),
+    "euler-r": (families, "euler_deg_order", ("r", "arg"), "EulerDegOrderR"),
+    "poly-genocchi": (families, "poly_genocchi_deg", ("k", "arg"), "PolyGenocchiDeg"),
     "multi-poly-genocchi": (
         families,
         "multi_poly_genocchi_deg",
         ("ks", "arg"),
-        families.MULTI_POLY_GENOCCHI,
+        "MultiPolyGenocchiDeg",
     ),
     "stirling1": (degen, "stirling1_deg_recurrence", (), "Stirling1Deg"),
     "multi-polyexp": (degen, "deg_multi_polyexp", ("ks",), "MultiPolyExpDeg"),
@@ -108,8 +109,6 @@ def _parse_ks(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
         ks = tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         parser.error(f"--ks must be comma-separated integers, got {text!r}")
-    if not ks:
-        parser.error("--ks must not be empty")
     return ks
 
 

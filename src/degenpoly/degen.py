@@ -10,8 +10,7 @@ reduces to a classical object at lambda = 0:
 * degenerate logarithm ``log_lambda(1 + t)``, the compositional inverse of
   ``e_lambda(t) - 1``
 * degenerate Stirling numbers of the first kind, via the triangular
-  recurrence ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)`` or as egf
-  coefficients of ``(log_lambda(1+t))^k / k!``
+  recurrence ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)``
 * polyexponential functions: the modified polyexponential ``Ei_k``, its
   degenerate version ``Ei_{k,lambda}``, and the degenerate multiple
   polyexponential ``Ei_{(k_1..k_r),lambda}`` summed over strictly increasing
@@ -138,14 +137,6 @@ def stirling1_deg_recurrence(n_max: int, *, lam: MultiPoly = LAM) -> StirlingTab
         )
         rows.append(tuple(row))
     return StirlingTable(n_max, tuple(rows))
-
-
-def stirling1_deg_series(n: int, k: int, order: int) -> MultiPoly:
-    """``S_{1,lambda}(n, k)`` as the egf coefficient of ``(log_lambda(1+t))^k / k!``."""
-    if not 0 <= k <= n <= order:
-        raise ValueError(f"need 0 <= k <= n <= order, got ({n}, {k}) at order {order}")
-    powered = deg_log(order) ** k
-    return powered.egf_coeff(n) * Fraction(1, math.factorial(k))
 
 
 def polyexp_modified(k: int, order: int) -> TruncatedSeries:

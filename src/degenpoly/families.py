@@ -45,12 +45,6 @@ from .series import TruncatedSeries
 Argument = Union[str, int, Fraction]
 T = TypeVar("T")
 
-GENOCCHI = "GenocchiDeg"
-GENOCCHI_ORDER = "GenocchiDegOrderR"
-EULER_ORDER = "EulerDegOrderR"
-POLY_GENOCCHI = "PolyGenocchiDeg"
-MULTI_POLY_GENOCCHI = "MultiPolyGenocchiDeg"
-
 
 def _norm_argument(argument: Argument) -> Union[str, Fraction]:
     if isinstance(argument, str):
@@ -62,19 +56,13 @@ def _norm_argument(argument: Argument) -> Union[str, Fraction]:
 
 @dataclass(frozen=True)
 class PolyFamily:
-    """A polynomial family evaluated to order ``n_max``.
+    """A polynomial family evaluated to order ``len(values) - 1``.
 
     ``values[n]`` is the n-th member as an exact polynomial in lambda (and
-    x, y when the argument is symbolic).  ``r`` and ``ks`` are populated for
-    the order-r and poly/multi-poly variants respectively.
+    x, y when the argument is symbolic).
     """
 
-    family_id: str
-    argument: Union[str, Fraction]
-    n_max: int
     values: tuple[MultiPoly, ...]
-    r: int | None = None
-    ks: tuple[int, ...] | None = None
 
 
 class SubSeriesStore:
@@ -166,25 +154,17 @@ def _compose_with_log(outer: TruncatedSeries, *, lam: MultiPoly) -> TruncatedSer
 
 
 def _family(
-    family_id: str,
-    kernel: TruncatedSeries,
-    argument: Argument,
-    n_max: int,
-    *,
-    lam: MultiPoly,
-    **fields,
+    kernel: TruncatedSeries, argument: Argument, n_max: int, *, lam: MultiPoly
 ) -> PolyFamily:
     """The family whose egf is ``kernel * e_lambda^argument(t)``."""
-    arg = _norm_argument(argument)
-    gen = kernel * deg_exp(arg, n_max, lam=lam)
-    values = tuple(gen.egf_coeff(n) for n in range(n_max + 1))
-    return PolyFamily(family_id, arg, n_max, values, **fields)
+    gen = kernel * deg_exp(_norm_argument(argument), n_max, lam=lam)
+    return PolyFamily(tuple(gen.egf_coeff(n) for n in range(n_max + 1)))
 
 
 def genocchi_deg(argument: Argument, n_max: int, *, lam: MultiPoly = LAM) -> PolyFamily:
     """Degenerate Genocchi polynomials ``G_{n,lambda}(argument)``."""
     kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)
-    return _family(GENOCCHI, kernel, argument, n_max, lam=lam)
+    return _family(kernel, argument, n_max, lam=lam)
 
 
 def genocchi_deg_order(
@@ -195,7 +175,7 @@ def genocchi_deg_order(
         raise ValueError("order r must be at least 1")
     # (2t/(e+1))^r, not t^r times the Euler kernel: Eq19 checks one against the other
     kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)) ** r
-    return _family(GENOCCHI_ORDER, kernel, argument, n_max, lam=lam, r=r)
+    return _family(kernel, argument, n_max, lam=lam)
 
 
 def euler_deg_order(
@@ -205,7 +185,7 @@ def euler_deg_order(
     if r < 1:
         raise ValueError("order r must be at least 1")
     kernel = _two_over_exp_plus_one_power(r, n_max, lam=lam)
-    return _family(EULER_ORDER, kernel, argument, n_max, lam=lam, r=r)
+    return _family(kernel, argument, n_max, lam=lam)
 
 
 def poly_genocchi_deg(
@@ -214,7 +194,7 @@ def poly_genocchi_deg(
     """Degenerate poly-Genocchi polynomials ``g_{n,lambda}^{(k)}(argument)``."""
     num = _compose_with_log(deg_polyexp(k, n_max, lam=lam), lam=lam)
     kernel = num * _two_over_exp_plus_one_power(1, n_max, lam=lam)
-    return _family(POLY_GENOCCHI, kernel, argument, n_max, lam=lam, ks=(int(k),))
+    return _family(kernel, argument, n_max, lam=lam)
 
 
 def multi_poly_genocchi_deg(
@@ -229,4 +209,4 @@ def multi_poly_genocchi_deg(
         return num * _two_over_exp_plus_one_power(len(ks), order, lam=lam)
 
     kernel = _shared_series(("multi kernel", ks), n_max, build, lam=lam)
-    return _family(MULTI_POLY_GENOCCHI, kernel, argument, n_max, lam=lam, r=len(ks), ks=ks)
+    return _family(kernel, argument, n_max, lam=lam)

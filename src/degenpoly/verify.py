@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -58,8 +58,6 @@ ParamItems = tuple[tuple[str, object], ...]
 
 
 def _json_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
     return value
@@ -137,7 +135,7 @@ def _truncate(table: PolyFamily | StirlingTable, n_max: int) -> PolyFamily | Sti
     """The same table cut down to ``n_max``."""
     if isinstance(table, StirlingTable):
         return StirlingTable(n_max, table.entries[: n_max + 1])
-    return replace(table, n_max=n_max, values=table.values[: n_max + 1])
+    return PolyFamily(table.values[: n_max + 1])
 
 
 def _head(seq: Sequence, n_max: int) -> Sequence:
@@ -192,7 +190,7 @@ class FamilyMemo:
         if self.corrupt and builder is families.multi_poly_genocchi_deg and params[-1] == "x":
             values = list(value.values)
             values[-1] = values[-1] + 1
-            value = replace(value, values=tuple(values))
+            value = PolyFamily(tuple(values))
         return value
 
     def multi_poly_genocchi(self, ks, argument, n_max: int) -> PolyFamily:

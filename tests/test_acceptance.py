@@ -24,7 +24,6 @@ from degenpoly.degen import (
     deg_multi_polyexp,
     deg_polyexp,
     stirling1_deg_recurrence,
-    stirling1_deg_series,
 )
 from degenpoly.families import multi_poly_genocchi_deg
 from degenpoly.poly import LAM, ONE, ZERO, MultiPoly
@@ -40,6 +39,7 @@ from degenpoly.verify import (
     default_k_lists,
 )
 from falling_basis import falling_basis_coeffs
+from stirling_series import stirling1_deg_series
 
 DATA_DIR = Path(__file__).parent / "data"
 SWEEP_N_MAX = 10

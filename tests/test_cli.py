@@ -377,6 +377,17 @@ def test_verify_vanishing_from_cli():
     assert "PASS Vanishing ks=1,2 n_max=4 cells=2" in proc.stdout
 
 
+# written out here, not read from cli.FAMILIES, so that a changed id fails
+FAMILY_IDS = {
+    "genocchi": "GenocchiDeg",
+    "genocchi-r": "GenocchiDegOrderR",
+    "euler-r": "EulerDegOrderR",
+    "poly-genocchi": "PolyGenocchiDeg",
+    "multi-poly-genocchi": "MultiPolyGenocchiDeg",
+    "stirling1": "Stirling1Deg",
+    "multi-polyexp": "MultiPolyExpDeg",
+}
+
 MINIMAL_FAMILY_ARGS = {
     "genocchi-r": ["--r", "1"],
     "euler-r": ["--r", "1"],
@@ -393,3 +404,4 @@ def test_every_family_runs_with_minimal_args(family, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["meta"]["family"] == family
     assert {rec["n"] for rec in payload["records"]} == {0, 1, 2}
+    assert {rec["family_id"] for rec in payload["records"]} == {FAMILY_IDS[family]}

@@ -20,11 +20,11 @@ from degenpoly.degen import (
     deg_polyexp,
     polyexp_modified,
     stirling1_deg_recurrence,
-    stirling1_deg_series,
 )
 from degenpoly.poly import LAM, ONE, X, Y, ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
 from falling_basis import falling_basis_coeffs
+from stirling_series import stirling1_deg_series
 
 
 def test_deg_falling_factorial_hand_values():
