@@ -162,6 +162,16 @@ GOLDEN_CASES = [
         ["verify", "--identity", "cor2", "--ks", "1,2,3", "--n-max", "2", "--format", "json"],
         0,
     ),
+    (
+        "verify_all_n5.txt",
+        ["verify", "--identity", "all", "--n-max", "5"],
+        0,
+    ),
+    (
+        "verify_all_n2_corrupt.txt",
+        ["verify", "--identity", "all", "--n-max", "2", "--corrupt"],
+        1,
+    ),
 ]
 
 
