@@ -159,13 +159,19 @@ def _render_json(payload: dict) -> str:
     With an indent the standard library leaves its C encoder for a
     pure-Python one that makes several generator steps per value.
     Takes dicts with str keys, lists, tuples, str, int, bool and None; any
-    other value raises ``TypeError``.
+    other value raises ``TypeError``.  A dict that appears more than once at
+    one indent, like the ``params`` that :func:`cmd_compute` shares between
+    the records of a table, is rendered once.
     """
-    return _json_text(payload, "") + "\n"
+    return _json_text(payload, "", {}) + "\n"
 
 
-def _json_text(obj, indent: str) -> str:
-    """One value of :func:`_render_json`; ``indent`` is the indent of its line."""
+def _json_text(obj, indent: str, rendered: dict) -> str:
+    """One value of :func:`_render_json`; ``indent`` is the indent of its line.
+
+    ``rendered`` maps ``(id(d), indent)`` to the text of each dict ``d`` of
+    the payload already rendered at that indent.
+    """
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -181,8 +187,13 @@ def _json_text(obj, indent: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = sep.join(_encode_str(key) + ": " + _json_text(v, inner) for key, v in obj.items())
-        return "{\n" + inner + items + "\n" + indent + "}"
+        key = (id(obj), indent)
+        if key not in rendered:
+            items = sep.join(
+                _encode_str(k) + ": " + _json_text(v, inner, rendered) for k, v in obj.items()
+            )
+            rendered[key] = "{\n" + inner + items + "\n" + indent + "}"
+        return rendered[key]
     if not isinstance(obj, (list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:
@@ -196,7 +207,8 @@ def _json_text(obj, indent: str) -> str:
             pairs = map((",\n" + deeper).join, zip(strings, strings))
             body = ("\n" + inner + "]" + sep + "[\n" + deeper).join(pairs)
             return "[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n" + indent + "]"
-    return "[\n" + inner + sep.join(_json_text(v, inner) for v in obj) + "\n" + indent + "]"
+    items = sep.join(_json_text(v, inner, rendered) for v in obj)
+    return "[\n" + inner + items + "\n" + indent + "]"
 
 
 def _poly_record(

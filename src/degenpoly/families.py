@@ -156,8 +156,18 @@ def _compose_with_log(outer: TruncatedSeries, *, lam: MultiPoly) -> TruncatedSer
 def _family(
     kernel: TruncatedSeries, argument: Argument, n_max: int, *, lam: MultiPoly
 ) -> PolyFamily:
-    """The family whose egf is ``kernel * e_lambda^argument(t)``."""
-    gen = kernel * deg_exp(_norm_argument(argument), n_max, lam=lam)
+    """The family whose egf is ``kernel * e_lambda^argument(t)``.
+
+    ``e_lambda^0(t) = 1``, so at argument 0 the values are the kernel's own.
+    """
+    argument = _norm_argument(argument)
+    if argument == 0:
+        gen = kernel
+    else:
+        exp = _shared_series(
+            ("e^arg", argument), n_max, lambda n: deg_exp(argument, n, lam=lam), lam=lam
+        )
+        gen = kernel * exp
     return PolyFamily(tuple(gen.egf_coeff(n) for n in range(n_max + 1)))
 
 

@@ -142,7 +142,9 @@ class MultiPoly:
         return p
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return _canonical({exps: v * other for exps, v in self.num.items()}, self.den)
+        if isinstance(other, Fraction):
             c = Fraction(other)
             n = c.numerator
             num = {exps: v * n for exps, v in self.num.items()}

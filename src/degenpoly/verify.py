@@ -51,7 +51,7 @@ from .degen import (
     stirling1_deg_recurrence,
 )
 from .families import PolyFamily
-from .poly import X, ZERO, MultiPoly, sum_of_products
+from .poly import ONE, X, ZERO, MultiPoly, sum_of_products
 from .series import TruncatedSeries
 
 ParamItems = tuple[tuple[str, object], ...]
@@ -250,15 +250,28 @@ def _chain_factors(
     ``products`` are the chain products of :func:`_chain_products` for
     ``r = len(ks)``, up to ``stirling.n_max``.
     """
-    def weight(chain: tuple[int, ...]) -> MultiPoly:
-        scale = Fraction(chain[-1]) ** (-(ks[-1] - 1))
-        for n_i, k_i in zip(chain[:-1], ks[:-1]):
-            scale *= Fraction(1, math.factorial(n_i - 1)) * Fraction(n_i) ** (-k_i)
-        return MultiPoly.const(scale)
+    def weight(chain: tuple[int, ...]) -> tuple[int, int]:
+        """One over the chain's divisor above, as integers ``(numerator, denominator)``."""
+        num, den = 1, 1
+        for n_i, e_i in zip(chain, (*ks[:-1], ks[-1] - 1)):
+            if e_i < 0:
+                num *= n_i**-e_i
+            else:
+                den *= n_i**e_i
+        for n_i in chain[:-1]:
+            den *= math.factorial(n_i - 1)
+        return num, den
 
-    by_top = [
-        sum_of_products((1, prod, weight(chain)) for chain, prod in chains) for chains in products
-    ]
+    def chain_sum(chains: Sequence) -> MultiPoly:
+        # integer weights over the chains' common denominator, divided out once
+        weights = [weight(chain) for chain, _ in chains]
+        common = math.lcm(*(den for _, den in weights))
+        terms = (
+            (num * (common // den), prod, ONE) for (num, den), (_, prod) in zip(weights, chains)
+        )
+        return sum_of_products(terms) * Fraction(1, common)
+
+    by_top = [chain_sum(chains) for chains in products]
     return [
         sum_of_products((1, by_top[top], stirling.value(j, top)) for top in range(1, j + 1))
         for j in range(stirling.n_max + 1)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly import families
 from degenpoly.families import (
     PolyFamily,
     euler_deg_order,
@@ -18,7 +19,7 @@ from degenpoly.families import (
     multi_poly_genocchi_deg,
     poly_genocchi_deg,
 )
-from degenpoly.degen import deg_falling_factorials
+from degenpoly.degen import deg_exp, deg_falling_factorials
 from degenpoly.poly import LAM, ONE, X, ZERO, MultiPoly
 from falling_basis import falling_basis_coeffs
 
@@ -168,3 +169,27 @@ def test_family_metadata():
     assert len(euler_deg_order(2, "x", 3).values) == 4
     assert len(genocchi_deg_order(2, "x", 3).values) == 4
     assert len(poly_genocchi_deg(1, "x", 3).values) == 4
+
+
+@pytest.mark.parametrize("lam", [LAM, MultiPoly.const(Fraction(1, 2)), MultiPoly.const(-2)])
+def test_number_families_are_the_kernel_times_e_lambda_to_the_0(lam, monkeypatch):
+    # at argument 0 the builders read the kernel's own values, since e_lambda^0(t) = 1
+    seen = []
+    original = families._family
+
+    def recording(kernel, argument, n_max, *, lam):
+        family = original(kernel, argument, n_max, lam=lam)
+        seen.append((kernel, family))
+        return family
+
+    monkeypatch.setattr(families, "_family", recording)
+    n = 6
+    genocchi_deg(0, n, lam=lam)
+    genocchi_deg_order(2, 0, n, lam=lam)
+    euler_deg_order(3, Fraction(0), n, lam=lam)
+    poly_genocchi_deg(-1, 0, n, lam=lam)
+    multi_poly_genocchi_deg((1, 2), 0, n, lam=lam)
+    assert len(seen) == 5
+    for kernel, family in seen:
+        product = kernel * deg_exp(0, n, lam=lam)
+        assert family.values == tuple(product.egf_coeff(m) for m in range(n + 1))

@@ -68,6 +68,16 @@ def test_render_json_matches_json_dumps(obj):
     assert _render_json(obj) == oracle(obj)
 
 
+def test_shared_dict_renders_at_each_of_its_indents():
+    # compute shares one params dict between its records; the writer renders
+    # a dict once per indent, so the same dict deeper down gets its own text
+    params = {"r": None, "ks": [1, -2], "lambda": "sym"}
+    empty: dict = {}
+    records = [{"params": params, "n": n, "more": {"params": params, "e": empty}} for n in range(3)]
+    obj = {"meta": params, "records": records, "again": [params, [params]], "e": empty}
+    assert _render_json(obj) == oracle(obj)
+
+
 @pytest.mark.parametrize(
     "obj",
     [

@@ -61,6 +61,10 @@ def _faults():
     def exp_bumped_at_x(weight, order, **lam):
         return _bump(exp(weight, order, **lam)) if weight == "x" else exp(weight, order, **lam)
 
+    def exp_bumped_at_r(weight, order, **lam):
+        # not at 1: the inversion of e_lambda(t)+1 reads that weight too
+        return _bump(exp(weight, order, **lam)) if weight in (2, 3) else exp(weight, order, **lam)
+
     return {
         "inverse": (
             families,
@@ -68,6 +72,7 @@ def _faults():
             lambda order, **lam: _bump(inverse(order, **lam)),
         ),
         "deg_exp_at_x": (families, "deg_exp", exp_bumped_at_x),
+        "deg_exp_at_r": (families, "deg_exp", exp_bumped_at_r),
         "deg_log": (families, "deg_log", lambda order, **lam: _bump(log(order, **lam))),
         "multi_chain_step": (families, "deg_multi_polyexp", _multi_polyexp_non_strict),
         "chain_enumeration": (verify, "_chain_products", without_last_chain),
@@ -76,11 +81,14 @@ def _faults():
 
 # The inverse sits on both sides of every identity but Thm3, which mixes
 # Euler orders 0..r; deg_exp at "x" cancels wherever both sides are built
-# at "x"; the log and the multi DP feed only the composed numerator, which
-# the Stirling-recurrence chain sums and the plain Genocchi family do not use.
+# at "x"; deg_exp at r = 2, 3 feeds only the families at argument r, which
+# Thm3 alone reads; the log and the multi DP feed only the composed
+# numerator, which the Stirling-recurrence chain sums and the plain Genocchi
+# family do not use.
 CAUGHT_BY = {
     "inverse": {"Thm3"},
     "deg_exp_at_x": {"Prop4", "Eq15"},
+    "deg_exp_at_r": {"Thm3"},
     "deg_log": {"Thm1", "Cor2", "Thm3", "ReductionR1K1"},
     "multi_chain_step": {"Thm1", "Cor2", "Thm3", "Vanishing"},
     "chain_enumeration": {"Thm1", "Cor2", "Thm3"},

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, canonical rendering, and the parser."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,19 @@ def test_scalar_mixing():
     assert X == MultiPoly.sym("x")
     assert MultiPoly.const(5) == 5
     assert not (X == 5)
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, -7, 3, 4, -6, 12, True, False])
+def test_int_scalar_product_is_canonical(k):
+    # den 12: 3, 4, -6 and 12 share a factor with it, so the product must reduce
+    p = MultiPoly({(1, 0, 0): Fraction(1, 6), (0, 1, 0): Fraction(-5, 4), (0, 0, 0): Fraction(2, 3)})
+    expected = MultiPoly({exps: c * int(k) for exps, c in p.terms.items()})
+    for product in (p * k, k * p):
+        assert (product.num, product.den) == (expected.num, expected.den)
+        assert product.den > 0
+        assert math.gcd(product.den, *product.num.values()) == 1
+        assert all(type(v) is int and v for v in product.num.values())
+    assert (ZERO * k).num == {} and (ZERO * k).den == 1
 
 
 def test_ring_axioms_random():

@@ -72,11 +72,13 @@ def test_builder_outside_a_memo_builds_its_own_sub_series(monkeypatch):
     inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
     logs = _count_calls(monkeypatch, families, "deg_log")
     kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
+    exps = _count_calls(monkeypatch, families, "deg_exp")
     families.multi_poly_genocchi_deg((1, 2), "x", 4)
     families.multi_poly_genocchi_deg((1, 2), "x", 4)
     assert len(inversions) == 2
     assert len(logs) == 2
     assert len(kernels) == 2
+    assert [call for call in exps if call[0] == "x"] == [("x", 4), ("x", 4)]
     assert families._STORE.get() is None
 
 
@@ -86,6 +88,7 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
     logs = _count_calls(monkeypatch, families, "deg_log")
     kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
+    exps = _count_calls(monkeypatch, families, "deg_exp")
     reports = run_identity("all", 8)
     assert all(report.passed for report in reports)
     assert len(factors) == len(default_k_lists()) == 29
@@ -98,6 +101,12 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     # by truncation
     assert len(inversions) == 1
     assert logs == [(8,)]
+    # e_lambda^arg(t) once per argument: 1 at order 11 inside that inversion,
+    # x at 11 for the same build, x+y for Prop4 and r = 1, 2, 3 for Thm3;
+    # the number families at argument 0 multiply by no e_lambda^0(t) = 1
+    assert len(exps) == 6
+    assert set(exps) == {(1, 11), ("x", 11), ("x+y", 8), (1, 8), (2, 8), (3, 8)}
+    assert all(weight != 0 for weight, _ in exps)
 
 
 def test_full_sweep_builds_no_order_beyond_what_it_reads(monkeypatch):

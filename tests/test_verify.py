@@ -1,15 +1,19 @@
 """Identity checkers: pass on clean families, fail loudly on corrupted ones."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from fraction_chain_factors import chain_factors as fraction_chain_factors
 from degenpoly import families
 from degenpoly.degen import stirling1_deg_recurrence
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.verify import (
     FamilyMemo,
     _binomial_convolution,
+    _chain_factors,
+    _chain_products,
     _classical_genocchi_numbers,
     check_basics,
     check_corollary2,
@@ -246,6 +250,18 @@ def test_binomial_convolution_treats_missing_entries_as_zero():
     # n = 2: C(2,1) a[1] b[1] + C(2,2) a[2] b[0]; a[0] b[2] lies past the end of b
     assert _binomial_convolution(a, b, 2) == MultiPoly.const(2 * 2 * 7 + 3 * 5)
     assert _binomial_convolution(a, b, 4) == ZERO
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_chain_factors_match_the_fraction_weight_oracle(r):
+    # every list of r indices in -2..3, a superset of the sweep's lists of length r
+    k_lists = list(itertools.product(range(-2, 4), repeat=r))
+    assert {ks for ks in default_k_lists() if len(ks) == r} <= set(k_lists)
+    stirling = stirling1_deg_recurrence(8)
+    products = _chain_products(r, 8)
+    for ks in k_lists:
+        expected = fraction_chain_factors(ks, stirling, products)
+        assert _chain_factors(ks, stirling, products) == expected, ks
 
 
 def _count_multi_builds(monkeypatch) -> list:
