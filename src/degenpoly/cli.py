@@ -159,9 +159,9 @@ def _render_json(payload: dict) -> str:
     With an indent the standard library leaves its C encoder for a
     pure-Python one that makes several generator steps per value.
     Takes dicts with str keys, lists, tuples, str, int, bool and None; any
-    other value raises ``TypeError``.  A dict that appears more than once at
-    one indent, like the ``params`` that :func:`cmd_compute` shares between
-    the records of a table, is rendered once.
+    other value raises ``TypeError``.  A dict that is the last dict rendered
+    at its indent, like the ``params`` that :func:`cmd_compute` shares
+    between the records of a table, reuses that text.
     """
     return _json_text(payload, "", {}) + "\n"
 
@@ -169,8 +169,8 @@ def _render_json(payload: dict) -> str:
 def _json_text(obj, indent: str, rendered: dict) -> str:
     """One value of :func:`_render_json`; ``indent`` is the indent of its line.
 
-    ``rendered`` maps ``(id(d), indent)`` to the text of each dict ``d`` of
-    the payload already rendered at that indent.
+    ``rendered`` maps each indent to the last dict rendered at it and its
+    text, so a repeated dict costs one lookup and no text is kept per dict.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -187,13 +187,15 @@ def _json_text(obj, indent: str, rendered: dict) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        key = (id(obj), indent)
-        if key not in rendered:
-            items = sep.join(
-                _encode_str(k) + ": " + _json_text(v, inner, rendered) for k, v in obj.items()
-            )
-            rendered[key] = "{\n" + inner + items + "\n" + indent + "}"
-        return rendered[key]
+        last = rendered.get(indent)
+        if last is not None and last[0] is obj:
+            return last[1]
+        items = sep.join(
+            _encode_str(key) + ": " + _json_text(v, inner, rendered) for key, v in obj.items()
+        )
+        text = "{\n" + inner + items + "\n" + indent + "}"
+        rendered[indent] = (obj, text)
+        return text
     if not isinstance(obj, (list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:

@@ -21,12 +21,15 @@ symbol ``LAM`` by default, or a constant polynomial to build the family at
 that value of lambda directly.
 
 Inside :func:`sharing` (a memo's builder calls), symbolic builds take
-``2 / (e_lambda(t) + 1)``, its powers, the powers of ``log_lambda(1+t)``
-and each k-list's multi-poly-Genocchi kernel from that memo's
-:class:`SubSeriesStore`, each built once at the largest order asked for;
-outside it, and at any other ``lam``, every build makes its own.  Only the
-multi-poly builder reads the kernel entries: ``poly_genocchi_deg`` and
-``genocchi_deg`` build their own kernels, so the verifier can check the
+``2 / (e_lambda(t) + 1)``, its powers, the powers of ``log_lambda(1+t)``,
+each k-list's multi-poly-Genocchi kernel and ``e_lambda^arg(t)`` for each
+argument from that memo's :class:`SubSeriesStore`, each built once at the
+largest order asked for; outside it, and at any other ``lam``, every build
+makes its own.  Each family still multiplies its own kernel by
+``e_lambda^arg(t)``, except at argument 0: ``e_lambda^0(t) = 1``, so the
+number families are the kernel's own values ``n! c_n``, at every ``lam``.
+Only the multi-poly builder reads the kernel entries: ``poly_genocchi_deg``
+and ``genocchi_deg`` build their own kernels, so the verifier can check the
 single-index reductions against them.
 """
 

@@ -145,10 +145,9 @@ class MultiPoly:
         if isinstance(other, int):
             return _canonical({exps: v * other for exps, v in self.num.items()}, self.den)
         if isinstance(other, Fraction):
-            c = Fraction(other)
-            n = c.numerator
+            n = other.numerator
             num = {exps: v * n for exps, v in self.num.items()}
-            return _canonical(num, self.den * c.denominator)
+            return _canonical(num, self.den * other.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return sum_of_products(((1, self, other),))
