@@ -10,12 +10,13 @@ Two subcommands:
   JSON.
 
 Exit codes: 0 success / all cells passed, 1 at least one cell failed,
-2 usage error or an ``--out`` file that cannot be written.  Output is
-deterministic: identical invocations produce byte-identical files.  Values
-are exact; symbolic lambda or argument is the flag token ``sym`` /
-``sym-x``, rationals are ``p/q`` or integer text, and no floating point
-appears anywhere.  A rational ``--lambda`` is applied while building: the
-table is computed at that lambda, never built symbolically and substituted.
+2 usage error, or an ``--out`` file or stdout that cannot be written.
+Output is deterministic: identical invocations produce byte-identical
+files.  Values are exact; symbolic lambda or argument is the flag token
+``sym`` / ``sym-x``, rationals are ``p/q`` or integer text, and no floating
+point appears anywhere.  A rational ``--lambda`` is applied while
+building: the table is computed at that lambda, never built symbolically
+and substituted.
 
 The only environment variable read is ``DEGENPOLY_OUT_DIR``, an optional
 directory prefix for relative ``--out`` paths.
@@ -112,15 +113,17 @@ def _parse_ks(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
     return ks
 
 
-def _parse_r_filter(text: str, parser: argparse.ArgumentParser) -> set[int]:
+def _parse_r_filter(text: str, parser: argparse.ArgumentParser) -> range:
+    # a range, not a set: membership costs the same at any width of --r
     try:
         if "-" in text[1:]:
             split_at = text.index("-", 1)
             lo, hi = int(text[:split_at]), int(text[split_at + 1 :])
             if lo > hi:
                 raise ValueError
-            return set(range(lo, hi + 1))
-        return {int(text)}
+            return range(lo, hi + 1)
+        r = int(text)
+        return range(r, r + 1)
     except ValueError:
         parser.error(f"--r must be an int or a range like 1-3, got {text!r}")
 
@@ -139,7 +142,15 @@ def _write_text(text: str, out: str) -> None:
     """Write to stdout, or replace the --out file whole; exit 2 if it cannot be written."""
     path = _out_path(out)
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit: let that flush reach devnull
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            print(f"degenpoly: error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(2)
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:

@@ -20,12 +20,13 @@ collapse to ``genocchi_deg``.  Every builder takes the keyword ``lam``: the
 symbol ``LAM`` by default, or a constant polynomial to build the family at
 that value of lambda directly.
 
-Inside :func:`sharing` (a memo's builder calls), symbolic builds take
+A :class:`SubSeriesStore` is active while it builds an entry, as when a
+memo builds a family.  Symbolic builds running then take
 ``2 / (e_lambda(t) + 1)``, its powers, the powers of ``log_lambda(1+t)``,
 each k-list's multi-poly-Genocchi kernel and ``e_lambda^arg(t)`` for each
-argument from that memo's :class:`SubSeriesStore`, each built once at the
-largest order asked for; outside it, and at any other ``lam``, every build
-makes its own.  Each family still multiplies its own kernel by
+argument from that store, each built once at the largest order asked for;
+outside a store's build, and at any other ``lam``, every build makes its
+own.  Each family still multiplies its own kernel by
 ``e_lambda^arg(t)``, except at argument 0: ``e_lambda^0(t) = 1``, so the
 number families are the kernel's own values ``n! c_n``, at every ``lam``.
 Only the multi-poly builder reads the kernel entries: ``poly_genocchi_deg``
@@ -35,11 +36,10 @@ single-index reductions against them.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterator, Sequence, TypeVar, Union
+from typing import Any, Callable, Hashable, Sequence, TypeVar, Union
 
 from .degen import deg_exp, deg_log, deg_multi_polyexp, deg_polyexp
 from .poly import LAM, MultiPoly
@@ -73,9 +73,11 @@ class SubSeriesStore:
 
     A request at or below that order is served by cutting the stored value
     down, since the low coefficients of a truncated series do not depend on
-    where it is cut; a larger order builds the value again.  One store
-    belongs to one :class:`~degenpoly.verify.FamilyMemo`, which keeps its
-    families, chain sums and the sub-series its family builds share in it.
+    where it is cut; a larger order builds the value again.  The store is
+    active while ``build`` runs, so the family builders it calls share
+    their sub-series through it.  One store belongs to one
+    :class:`~degenpoly.verify.FamilyMemo`, which keeps its families, chain
+    sums and those sub-series in it.
     """
 
     def __init__(self) -> None:
@@ -91,25 +93,19 @@ class SubSeriesStore:
         """The value under ``key`` at ``order``: ``build(order)``, or ``cut(stored, order)``."""
         entry = self._entries.get(key)
         if entry is None or entry[0] < order:
-            entry = (order, build(order))
+            token = _STORE.set(self)
+            try:
+                entry = (order, build(order))
+            finally:
+                _STORE.reset(token)
             self._entries[key] = entry
         built_order, value = entry
         return value if built_order == order else cut(value, order)
 
 
-# The store of the memo whose builder call is running, if any.  Builders
-# called outside a memo see None and build every sub-series themselves.
+# The store that is building an entry, if any.  Builders called outside
+# a store's build see None and build every sub-series themselves.
 _STORE: ContextVar[SubSeriesStore | None] = ContextVar("degenpoly_sub_series", default=None)
-
-
-@contextmanager
-def sharing(store: SubSeriesStore) -> Iterator[None]:
-    """Let the family builders called in this block share sub-series through ``store``."""
-    token = _STORE.set(store)
-    try:
-        yield
-    finally:
-        _STORE.reset(token)
 
 
 def _active_store(lam: MultiPoly) -> SubSeriesStore | None:

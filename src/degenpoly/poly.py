@@ -357,7 +357,10 @@ def parse_poly(text: str) -> MultiPoly:
                 num = take_int("number")
                 if i < n and tokens[i] == "/":
                     i += 1
-                    coeff *= Fraction(num, take_int("denominator"))
+                    den = take_int("denominator")
+                    if not den:
+                        raise ValueError("zero denominator in polynomial text")
+                    coeff *= Fraction(num, den)
                 else:
                     coeff *= num
             elif i < n and tokens[i] in _SYMBOL_INDEX:

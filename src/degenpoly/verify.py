@@ -152,12 +152,13 @@ class FamilyMemo:
     truncating the build, since the low coefficients of a truncated series
     do not depend on where it is cut.  The same holds for the chain
     products per r and the chain factors per k-list that Thm1, Cor2 and
-    Thm3 share, and, while the memo's own builder calls run, for the
-    sub-series the family builders share (``2/(e_lambda(t)+1)`` and its
-    powers, the powers of ``log_lambda(1+t)``, the multi-poly-Genocchi
-    kernel of each k-list, which the families at ``x``, ``x+y``, 0 and r
-    differ from only by ``e_lambda^arg(t)``, and ``e_lambda^arg(t)`` itself
-    for each argument but 0, where it is 1 and no family multiplies by it).
+    Thm3 share.  A store is active while it builds an entry, so the
+    family builders the memo calls share their sub-series through it too
+    (``2/(e_lambda(t)+1)`` and its powers, the powers of
+    ``log_lambda(1+t)``, the multi-poly-Genocchi kernel of each k-list,
+    which the families at ``x``, ``x+y``, 0 and r differ from only by
+    ``e_lambda^arg(t)``, and ``e_lambda^arg(t)`` itself for each argument
+    but 0, where it is 1 and no family multiplies by it).
     Nothing is shared between two memos or with builders called outside a
     memo.
 
@@ -183,12 +184,7 @@ class FamilyMemo:
         """
         if argument is not None:
             params = (*params, families._norm_argument(argument))
-
-        def build(n: int):
-            with families.sharing(self._store):
-                return builder(*params, n)
-
-        value = self._store.get((builder, params), n_max, build, _truncate)
+        value = self._store.get((builder, params), n_max, partial(builder, *params), _truncate)
         if self.corrupt and builder is families.multi_poly_genocchi_deg and params[-1] == "x":
             values = list(value.values)
             values[-1] = values[-1] + 1
@@ -280,16 +276,15 @@ def _chain_factors(
     ]
 
 
-def _chain_cells(ks, lhs, weights, memo: FamilyMemo, n_max: int) -> list[VerifyCell]:
-    """Thm1/Cor2/Thm3 cells for n = r..n_max.
+def _convolution_cells(lhs, a, b, n_lo: int, n_max: int) -> list[VerifyCell]:
+    """One cell per n = n_lo..n_max: ``lhs[n]`` against ``sum_l C(n,l) a[l] b[n-l]``.
 
-    Each checks ``lhs[n]`` against ``sum_l C(n,l) weights[l] factors[n-l]``
-    over the chain factors of ``ks``, which the memo builds once per k-list.
+    Thm1, Cor2, Thm3, Prop4 and Eq15 all have this shape; each checker
+    builds its ``lhs``, ``a`` and ``b`` along routes of its own.
     """
-    factors = memo.chain_factors(ks, n_max)
     return [
-        _cell((("n", n),), lhs[n], _binomial_convolution(weights, factors, n))
-        for n in range(len(ks), n_max + 1)
+        _cell((("n", n),), lhs[n], _binomial_convolution(a, b, n))
+        for n in range(n_lo, n_max + 1)
     ]
 
 
@@ -313,7 +308,7 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
             cells.append(_cell((("clause", "vanishing"), ("n", n)), fam.values[n], ZERO))
     if n_max >= r:
         euler = memo.euler_order(r, "x", n_max).values
-        cells += _chain_cells(ks, fam.values, euler, memo, n_max)
+        cells += _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r, n_max)
     return VerifyReport("Thm1", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -333,7 +328,7 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
         gen_r.values[l + r] * Fraction(1, r_fact * math.comb(l + r, l))
         for l in range(n_max - r + 1)
     ]
-    cells = _chain_cells(ks, fam.values, euler, memo, n_max)
+    cells = _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r, n_max)
     return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -353,7 +348,7 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
         numbers = memo.euler_order(l, Fraction(0), n_max)
         for m in range(n_max + 1):
             euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
-    cells = _chain_cells(ks, fam.values, euler_mix, memo, n_max)
+    cells = _convolution_cells(fam.values, euler_mix, memo.chain_factors(ks, n_max), r, n_max)
     return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -364,8 +359,7 @@ def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     fall_y = deg_falling_factorials("y", n_max)
-    rhs = (_binomial_convolution(fam_x.values, fall_y, n) for n in range(n_max + 1))
-    cells = _rows((), fam_xy.values, rhs)
+    cells = _convolution_cells(fam_xy.values, fam_x.values, fall_y, 0, n_max)
     return VerifyReport("Prop4", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -376,8 +370,7 @@ def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
     fall_x = deg_falling_factorials("x", n_max)
-    rhs = (_binomial_convolution(numbers.values, fall_x, n) for n in range(n_max + 1))
-    cells = _rows((), fam_x.values, rhs)
+    cells = _convolution_cells(fam_x.values, numbers.values, fall_x, 0, n_max)
     return VerifyReport("Eq15", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 

@@ -42,6 +42,7 @@ from falling_basis import falling_basis_coeffs
 from stirling_series import stirling1_deg_series
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 SWEEP_N_MAX = 10
 PROP4_N_MAX = 8
 
@@ -203,7 +204,9 @@ def test_criterion_09_dp_vs_brute_force():
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run this checkout's CLI in a child process, never an installed copy."""
     env = {k: v for k, v in os.environ.items() if k != "DEGENPOLY_OUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "degenpoly", *args], capture_output=True, text=True, env=env
     )

@@ -13,15 +13,21 @@ from degenpoly.cli import FAMILIES, main
 from degenpoly.poly import parse_poly
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, env_extra: dict | None = None, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
+    """Run this checkout's CLI in a child process, never an installed copy."""
     env = {k: v for k, v in os.environ.items() if k != "DEGENPOLY_OUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "degenpoly", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
@@ -339,6 +345,30 @@ def test_unwritable_out_exits_2_without_partial_file(args, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert "cannot write --out" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "--family", "genocchi", "--n-max", "0", "--format", "csv"),
+        ("verify", "--identity", "vanishing", "--ks", "1", "--n-max", "0"),
+    ],
+)
+def test_unwritable_stdout_exits_2_without_traceback(args):
+    # exit 1 means an identity failed, so an I/O error must not end in one
+    with open("/dev/full", "w") as full:
+        proc = run_cli(*args, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("degenpoly: error: cannot write to stdout: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_r_range_is_not_materialised(capsys):
+    # a set of 10^12 ints would not fit in memory; a range tests membership in O(1)
+    argv = ["verify", "--identity", "vanishing", "--r", "1-1000000000000", "--n-max", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("all 29 reports passed\n")
 
 
 @pytest.mark.parametrize(

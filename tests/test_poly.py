@@ -161,7 +161,7 @@ def test_parse_plain_forms():
     assert parse_poly("lambda^2*x*y") == LAM**2 * X * Y
 
 
-@pytest.mark.parametrize("bad", ["", "x +", "* x", "x ^", "1/$", "x^y", "3//2", "x y"])
+@pytest.mark.parametrize("bad", ["", "x +", "* x", "x ^", "1/$", "x^y", "3//2", "x y", "1/0"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_poly(bad)

@@ -50,6 +50,33 @@ def test_store_builds_at_the_largest_order_and_cuts_below_it():
     assert built == [5, 7]
 
 
+def test_a_store_is_active_only_while_it_builds():
+    outer, inner = SubSeriesStore(), SubSeriesStore()
+    seen = []
+
+    def build_inner(n):
+        seen.append(("inner", families._STORE.get()))
+        return n
+
+    def build_outer(n):
+        seen.append(("outer", families._STORE.get()))
+        inner.get("k", n, build_inner, min)
+        seen.append(("outer again", families._STORE.get()))
+        return n
+
+    assert outer.get("k", 3, build_outer, min) == 3
+    assert seen == [("outer", outer), ("inner", inner), ("outer again", outer)]
+    assert families._STORE.get() is None
+
+    def fail(n):
+        assert families._STORE.get() is outer
+        raise RuntimeError("build failed")
+
+    with pytest.raises(RuntimeError):
+        outer.get("other", 2, fail, min)
+    assert families._STORE.get() is None
+
+
 def test_two_memos_share_no_sub_series(monkeypatch):
     inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
     first, second = FamilyMemo(), FamilyMemo()
@@ -177,11 +204,14 @@ def test_numeric_lambda_build_leaves_the_store_alone():
     assert ("multi kernel", (1, 2)) in before
     half = Fraction(1, 2)
     built = {}
-    with families.sharing(memo._store):
+    token = families._STORE.set(memo._store)
+    try:
         for n in (6, 12):
             built[n] = families.multi_poly_genocchi_deg((1, 2), "x", n, lam=MultiPoly.const(half))
             families.euler_deg_order(2, "x", n, lam=MultiPoly.const(half))
         families.multi_poly_genocchi_deg((2, 1), "x", 6, lam=MultiPoly.const(half))
+    finally:
+        families._STORE.reset(token)
     for n, at_half in built.items():
         symbolic = families.multi_poly_genocchi_deg((1, 2), "x", n).values
         assert at_half.values == tuple(v.substitute("lambda", half) for v in symbolic)
