@@ -44,7 +44,7 @@ def _base_poly(base: Weight) -> MultiPoly:
         if base == "x+y":
             return X + Y
         raise ValueError(f"unknown symbolic base {base!r}; expected 'x', 'y' or 'x+y'")
-    return MultiPoly.const(Fraction(base))
+    return MultiPoly.const(base)
 
 
 def deg_falling_factorials(base: Weight, n_max: int, *, lam: MultiPoly = LAM) -> list[MultiPoly]:

@@ -54,6 +54,8 @@ def _norm_argument(argument: Argument) -> Union[str, Fraction]:
         if argument in ("x", "x+y"):
             return argument
         raise ValueError(f"argument must be 'x', 'x+y' or a rational, got {argument!r}")
+    if not isinstance(argument, (int, Fraction)):
+        raise TypeError(f"argument must be an int or a Fraction, got {type(argument).__name__}")
     return Fraction(argument)
 
 

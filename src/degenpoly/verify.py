@@ -152,8 +152,11 @@ class FamilyMemo:
     truncating the build, since the low coefficients of a truncated series
     do not depend on where it is cut.  The same holds for the chain
     products per r and the chain factors per k-list that Thm1, Cor2 and
-    Thm3 share.  A store is active while it builds an entry, so the
-    family builders the memo calls share their sub-series through it too
+    Thm3 share, and for the ``(x)_{m,lambda}`` and ``(y)_{m,lambda}`` bases
+    of Eq15 and Prop4, which come from :func:`deg_falling_factorials` and
+    never from the ``e_lambda^x(t)`` series those checkers compare.  A
+    store is active while it builds an entry, so the family builders the
+    memo calls share their sub-series through it too
     (``2/(e_lambda(t)+1)`` and its powers, the powers of
     ``log_lambda(1+t)``, the multi-poly-Genocchi kernel of each k-list,
     which the families at ``x``, ``x+y``, 0 and r differ from only by
@@ -208,6 +211,16 @@ class FamilyMemo:
 
     def stirling(self, n_max: int) -> StirlingTable:
         return self._family(stirling1_deg_recurrence, (), None, n_max)
+
+    def falling_factorials(self, base: str, n_max: int) -> list[MultiPoly]:
+        """``(base)_{m,lambda}`` for m = 0..n_max, one :func:`deg_falling_factorials` per base.
+
+        The builder is looked up at each call, so a patched
+        ``deg_falling_factorials`` reaches the stored lists.
+        """
+        return self._store.get(
+            ("falling", base), n_max, partial(deg_falling_factorials, base), _head
+        )
 
     def chain_factors(self, ks: tuple[int, ...], n_max: int) -> list[MultiPoly]:
         """:func:`_chain_factors` of ``ks`` up to ``n_max``, over the shared chain products."""
@@ -358,7 +371,7 @@ def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     memo = memo or FamilyMemo()
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
-    fall_y = deg_falling_factorials("y", n_max)
+    fall_y = memo.falling_factorials("y", n_max)
     cells = _convolution_cells(fam_xy.values, fam_x.values, fall_y, 0, n_max)
     return VerifyReport("Prop4", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
@@ -369,7 +382,7 @@ def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     memo = memo or FamilyMemo()
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
-    fall_x = deg_falling_factorials("x", n_max)
+    fall_x = memo.falling_factorials("x", n_max)
     cells = _convolution_cells(fam_x.values, numbers.values, fall_x, 0, n_max)
     return VerifyReport("Eq15", (("ks", ks), ("n_max", n_max)), tuple(cells))
 

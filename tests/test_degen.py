@@ -37,6 +37,9 @@ def test_deg_falling_factorial_hand_values():
     assert deg_falling_factorials("y", 2)[2] == Y**2 - LAM * Y
     with pytest.raises(ValueError):
         deg_falling_factorials("x", -1)
+    # a float base is not a rational scalar
+    with pytest.raises(TypeError):
+        deg_falling_factorials(0.5, 2)
     with pytest.raises(ValueError):
         deg_falling_factorials("z", 1)
 

@@ -73,6 +73,9 @@ def test_genocchi_polynomial_argument_forms():
         assert sym.values[n].substitute("x", Fraction(1, 2)) == half.values[n]
     with pytest.raises(ValueError):
         genocchi_deg("t", 3)
+    # a float argument is not a rational: 0.1 used to become 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        genocchi_deg(0.1, 3)
 
 
 def test_genocchi_order_one_reduces():

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly import families, verify
-from degenpoly.degen import deg_falling_factorials
+from degenpoly import degen, families, verify
+from degenpoly.degen import StirlingTable, deg_falling_factorials
 from degenpoly.poly import LAM, ZERO
 from degenpoly.series import TruncatedSeries
 from degenpoly.verify import FamilyMemo, run_identity
@@ -46,12 +46,38 @@ def _multi_polyexp_non_strict(ks, order, *, lam=LAM):
     return TruncatedSeries(order, level)
 
 
+def _falling_bumped(falling, bases=None):
+    """``falling`` with ``lambda^2`` added to ``(w)_{3,lambda}`` for each base ``w`` in ``bases``."""
+
+    def bumped(base, n_max, **lam):
+        out = falling(base, n_max, **lam)
+        if n_max >= 3 and (bases is None or base in bases):
+            out[3] = out[3] + LAM**2
+        return out
+
+    return bumped
+
+
 def _faults():
     """name -> (module, attribute, faulty replacement built from the original)."""
     inverse = families._two_over_exp_plus_one
+    inverse_power = families._two_over_exp_plus_one_power
     exp = families.deg_exp
     log = families.deg_log
     products = verify._chain_products
+    stirling = verify.stirling1_deg_recurrence
+
+    def stirling_bumped_at_4_2(n_max, **lam):
+        table = stirling(n_max, **lam)
+        if n_max < 4:
+            return table
+        rows = [list(row) for row in table.entries]
+        rows[4][2] = rows[4][2] + LAM**2
+        return StirlingTable(table.n_max, tuple(map(tuple, rows)))
+
+    def inverse_squared_bumped(r, order, **lam):
+        power = inverse_power(r, order, **lam)
+        return _bump(power) if r == 2 else power
 
     def without_last_chain(r, n_max):
         out = products(r, n_max)
@@ -76,6 +102,18 @@ def _faults():
         "deg_log": (families, "deg_log", lambda order, **lam: _bump(log(order, **lam))),
         "multi_chain_step": (families, "deg_multi_polyexp", _multi_polyexp_non_strict),
         "chain_enumeration": (verify, "_chain_products", without_last_chain),
+        "stirling_4_2": (verify, "stirling1_deg_recurrence", stirling_bumped_at_4_2),
+        "falling_in_verify": (
+            verify,
+            "deg_falling_factorials",
+            _falling_bumped(verify.deg_falling_factorials),
+        ),
+        "falling_one_in_multi_polyexp": (
+            degen,
+            "deg_falling_factorials",
+            _falling_bumped(degen.deg_falling_factorials, bases=(1,)),
+        ),
+        "inverse_squared": (families, "_two_over_exp_plus_one_power", inverse_squared_bumped),
     }
 
 
@@ -84,7 +122,11 @@ def _faults():
 # at "x"; deg_exp at r = 2, 3 feeds only the families at argument r, which
 # Thm3 alone reads; the log and the multi DP feed only the composed
 # numerator, which the Stirling-recurrence chain sums and the plain Genocchi
-# family do not use.
+# family do not use.  S_{1,lambda}(4,2) feeds only the chain factors; the
+# verifier's (w)_{3,lambda} feeds the chain products (w = 1) and the bases
+# of Prop4 (y) and Eq15 (x); the multi DP's own (1)_{3,lambda} feeds only the
+# composed numerator, which Vanishing does not see below n = r; the stored
+# (2/(e+1))^2 is on both sides of Thm1 and Thm3 and cancels there.
 CAUGHT_BY = {
     "inverse": {"Thm3"},
     "deg_exp_at_x": {"Prop4", "Eq15"},
@@ -92,6 +134,10 @@ CAUGHT_BY = {
     "deg_log": {"Thm1", "Cor2", "Thm3", "ReductionR1K1"},
     "multi_chain_step": {"Thm1", "Cor2", "Thm3", "Vanishing"},
     "chain_enumeration": {"Thm1", "Cor2", "Thm3"},
+    "stirling_4_2": {"Thm1", "Cor2", "Thm3"},
+    "falling_in_verify": {"Thm1", "Cor2", "Thm3", "Prop4", "Eq15"},
+    "falling_one_in_multi_polyexp": {"Thm1", "Cor2", "Thm3", "ReductionR1K1"},
+    "inverse_squared": {"Cor2", "Eq19"},
 }
 
 

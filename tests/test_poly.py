@@ -165,3 +165,44 @@ def test_parse_plain_forms():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_poly(bad)
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [(-1, 0, 0), (1, 2), (True, 0, 0), (0, 0, 1.0), (0, 2**19, 0), (1, 2, 3, 4), "abc"],
+)
+def test_malformed_exponents_are_rejected_at_construction(exps):
+    # each used to build: (-1, 0, 0) rendered as "1" yet was not ONE, (1, 2)
+    # failed only in a later product, and (True, 0, 0) kept a bool key
+    with pytest.raises(ValueError):
+        MultiPoly({exps: 1})
+    with pytest.raises(ValueError):
+        MultiPoly({exps: 0})
+
+
+def test_parse_rejects_an_exponent_past_the_bound():
+    assert parse_poly(f"x^{2**19 - 1}").degree("x") == 2**19 - 1
+    with pytest.raises(ValueError):
+        parse_poly(f"x^{2**19}")
+    with pytest.raises(ValueError):
+        parse_poly(f"x^{2**18}*x^{2**18}")
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None, 1j])
+def test_non_rational_scalars_raise_type_error(bad):
+    # "no floating point appears anywhere": const(0.1) used to give
+    # 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        MultiPoly.const(bad)
+    with pytest.raises(TypeError):
+        MultiPoly({(0, 1, 0): bad})
+    with pytest.raises(TypeError):
+        X.substitute("x", bad)
+    with pytest.raises(TypeError):
+        X.evaluate(bad, 1)
+    with pytest.raises(TypeError):
+        X.evaluate(1, bad)
+    with pytest.raises(TypeError):
+        X + bad
+    with pytest.raises(TypeError):
+        X * bad

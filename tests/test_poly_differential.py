@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 
 import fraction_poly as ref
 from degenpoly.poly import (
+    LAM,
+    MAX_EXPONENT,
+    X,
     MultiPoly,
     monomial_text,
     parse_poly,
@@ -237,3 +240,100 @@ def test_sum_of_products_reads_no_zero_term(t1, t2):
     out = sum_of_products([(0, spy, q), (1, spy, MultiPoly()), (1, MultiPoly(), spy), (1, p, q)])
     assert _CountingItems.reads == 0
     assert out == p * q
+
+
+# Exponents anywhere up to the bound of the packed keys, with weight on the
+# small end, the middle (where two exponents sum to about the bound) and the
+# top, so the field boundaries and the guard bits are crossed.
+BIG_EXPONENT = st.one_of(
+    st.integers(0, 3),
+    st.integers(MAX_EXPONENT // 2 - 2, MAX_EXPONENT // 2 + 2),
+    st.integers(MAX_EXPONENT - 3, MAX_EXPONENT),
+    st.integers(0, MAX_EXPONENT),
+)
+BIG_TERMS = st.dictionaries(st.tuples(BIG_EXPONENT, BIG_EXPONENT, BIG_EXPONENT), COEFFS, max_size=5)
+
+
+def _passes_the_bound(t1, t2):
+    """True if some nonzero term pair of the two maps has an exponent sum past the bound."""
+    return any(
+        e1[i] + e2[i] > MAX_EXPONENT
+        for e1, c1 in t1.items()
+        for e2, c2 in t2.items()
+        if c1 and c2
+        for i in range(3)
+    )
+
+
+@given(BIG_TERMS)
+def test_big_exponents_terms_round_trip(t):
+    p, r = both(t)
+    assert_same(p, r)
+    assert p.terms == {e: Fraction(c) for e, c in t.items() if c}
+    assert MultiPoly(p.terms) == p
+    assert term_texts(p) == [(monomial_text(e), str(c)) for e, c in r.sorted_terms()]
+
+
+@given(BIG_TERMS, BIG_TERMS)
+def test_big_exponents_ring_operations(t1, t2):
+    (p, r), (q, s) = both(t1), both(t2)
+    assert_same(p + q, r + s)
+    assert_same(p - q, r - s)
+    if _passes_the_bound(t1, t2):
+        with pytest.raises(OverflowError):
+            p * q
+        with pytest.raises(OverflowError):
+            sum_of_products([(1, p, q)])
+    else:
+        assert_same(p * q, r * s)
+
+
+@given(BIG_TERMS, st.integers(0, MAX_EXPONENT + 2), SYMBOLS)
+def test_big_exponents_coeff_x_and_degree(t, power, symbol):
+    p, r = both(t)
+    assert_same(p.coeff_x(power), r.coeff_x(power))
+    assert p.degree(symbol) == r.degree(symbol)
+
+
+# integer values only: a rational p/q at exponent 2^19 scales by q^(2^19),
+# and the oracle's reduction of such numbers is too slow for a property test
+@given(BIG_TERMS, SYMBOLS, st.sampled_from((0, 1, -1, 2, -3)))
+def test_big_exponents_substitute(t, symbol, value):
+    p, r = both(t)
+    assert_same(p.substitute(symbol, value), r.substitute(symbol, value))
+
+
+@given(BIG_TERMS)
+def test_term_texts_order_is_the_exponent_tuple_order(t):
+    p = MultiPoly(t)
+    expected = [monomial_text(e) for e in sorted(p.terms, reverse=True)]
+    assert [mono for mono, _ in term_texts(p)] == expected
+
+
+def test_products_at_the_bound():
+    def lam(e):
+        return MultiPoly({(e, 0, 0): 1})
+
+    assert lam(2**18) * lam(2**18 - 1) == lam(2**19 - 1)
+    assert LAM * lam(2**19 - 2) == lam(2**19 - 1)
+    with pytest.raises(OverflowError):
+        lam(2**18) * lam(2**18)
+    # a carry out of the y or x field would land in the next field up
+    top_y = MultiPoly({(0, 0, MAX_EXPONENT): 1})
+    top_x = MultiPoly({(0, MAX_EXPONENT, 0): 1})
+    for p in (top_y, top_x, top_y * top_x):
+        with pytest.raises(OverflowError):
+            sum_of_products([(1, p, p)])
+    # an overflowing pair raises even where its coefficient cancels
+    with pytest.raises(OverflowError):
+        sum_of_products([(1, top_x, top_x), (-1, top_x, top_x)])
+
+
+def test_exponents_at_and_past_the_bound():
+    top = MultiPoly({(0, MAX_EXPONENT, 0): 1})
+    assert top.degree("x") == 2**19 - 1
+    assert top == parse_poly(f"x^{2**19 - 1}")
+    for exps in ((0, 2**19, 0), (2**19, 0, 0), (0, 0, 2**19)):
+        with pytest.raises(ValueError):
+            MultiPoly({exps: 1})
+    assert X * MultiPoly({(0, MAX_EXPONENT - 1, 0): 1}) == top

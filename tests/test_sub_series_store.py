@@ -7,6 +7,7 @@ a second memo, or a builder called outside any memo, builds everything
 again.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,7 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     logs = _count_calls(monkeypatch, families, "deg_log")
     kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
     exps = _count_calls(monkeypatch, families, "deg_exp")
+    falling = _count_calls(monkeypatch, verify, "deg_falling_factorials")
     reports = run_identity("all", 8)
     assert all(report.passed for report in reports)
     assert len(factors) == len(default_k_lists()) == 29
@@ -134,6 +136,9 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     assert len(exps) == 6
     assert set(exps) == {(1, 11), ("x", 11), ("x+y", 8), (1, 8), (2, 8), (3, 8)}
     assert all(weight != 0 for weight, _ in exps)
+    # (x)_{m,lambda} and (y)_{m,lambda} once per sweep, for Eq15 and Prop4;
+    # base 1 once per r for the chain products
+    assert Counter(falling) == {(1, 8): 3, ("x", 8): 1, ("y", 8): 1}
 
 
 def test_full_sweep_builds_no_order_beyond_what_it_reads(monkeypatch):
