@@ -167,6 +167,19 @@ def deg_polyexp(k: int, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
+def index_tuple(ks: Sequence[int]) -> tuple[int, ...]:
+    """The polyexponential index list ``ks`` as a tuple of ints.
+
+    Any index that is not an ``int`` (a float, a string, a bool) raises
+    ``TypeError`` rather than being truncated to one.
+    """
+    ks = tuple(ks)
+    for k in ks:
+        if type(k) is not int:
+            raise TypeError(f"polyexponential indices must be ints, got {k!r}")
+    return ks
+
+
 def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """Degenerate multiple polyexponential ``Ei_{(k_1..k_r),lambda}(t)``.
 
@@ -176,7 +189,7 @@ def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) ->
     index it reduces to ``Ei_{k,lambda}``.  Computed by one forward pass
     per index using prefix sums over the previous level.
     """
-    ks = tuple(int(k) for k in ks)
+    ks = index_tuple(ks)
     if not ks:
         raise ValueError("need at least one polyexponential index")
     if order < 0:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Sequence, TypeVar, Union
 
-from .degen import deg_exp, deg_log, deg_multi_polyexp, deg_polyexp
+from .degen import deg_exp, deg_log, deg_multi_polyexp, deg_polyexp, index_tuple
 from .poly import LAM, MultiPoly
 from .series import TruncatedSeries
 
@@ -212,7 +212,7 @@ def multi_poly_genocchi_deg(
     ks: Sequence[int], argument: Argument, n_max: int, *, lam: MultiPoly = LAM
 ) -> PolyFamily:
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
-    ks = tuple(int(k) for k in ks)
+    ks = index_tuple(ks)
 
     # the kernel does not depend on the argument: a memo builds it once per k-list
     def build(order: int) -> TruncatedSeries:

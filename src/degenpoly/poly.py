@@ -365,92 +365,42 @@ def render_poly(p: MultiPoly) -> str:
     return render_terms(term_texts(p))
 
 
-_TOKEN_RE = re.compile(r"lambda|x|y|\d+|[+\-*/^]|\s+")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad character in polynomial text at {text[pos:]!r}")
-        if not m.group().isspace():
-            tokens.append(m.group())
-        pos = m.end()
-    return tokens
+# The grammar of parse_poly.  Whitespace is matched only before a token and at
+# the end: no two \s* are adjacent, so a rejected text fails in linear time.
+_FACTOR = r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(lambda|x|y)(?:\s*\^\s*(\d+))?)"
+_TERM = rf"{_FACTOR}(?:\s*\*{_FACTOR})*"
+_POLY_RE = re.compile(rf"(?:\s*[+-])?{_TERM}(?:\s*[+-]{_TERM})*\s*")
+_FACTOR_RE = re.compile(_FACTOR)
+_SIGNED_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
 
 
 def parse_poly(text: str) -> MultiPoly:
-    """Parse the canonical text form back into a :class:`MultiPoly`.
+    """Parse polynomial text, such as the canonical form, into a :class:`MultiPoly`.
 
-    Accepts exactly the grammar produced by :func:`render_poly`: signed terms
-    joined by `` + `` / `` - ``, each term a ``*``-product of an optional
-    rational coefficient and symbol powers.
+    The grammar: terms joined by ``+`` / ``-``, the first with an optional
+    sign; each term a ``*``-product of factors ``INT``, ``INT/INT``, a symbol
+    (``lambda``, ``x``, ``y``) or ``symbol^INT``; whitespace before any token
+    and at the end.  Factors multiply and equal monomials add, so ``2*3*x``,
+    ``x*x`` and ``+ x`` parse too.  Any other text, a zero denominator or an
+    exponent past ``MAX_EXPONENT`` (even under a zero coefficient) raises
+    ``ValueError``.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    n = len(tokens)
-    i = 0
-
-    def take_int(what: str) -> int:
-        nonlocal i
-        if i >= n or not tokens[i].isdigit():
-            raise ValueError(f"expected {what} in polynomial text")
-        v = int(tokens[i])
-        i += 1
-        return v
-
+    if not _POLY_RE.fullmatch(text):
+        raise ValueError(f"not a polynomial in canonical text form: {text!r}")
     terms: dict[Exponents, Fraction] = {}
-    sign = 1
-    if tokens[i] == "-":
-        sign, i = -1, i + 1
-    elif tokens[i] == "+":
-        i += 1
-    while True:
-        coeff = Fraction(sign)
+    for sign, term in _SIGNED_TERM_RE.findall(text.strip()):
+        coeff = Fraction(-1 if sign == "-" else 1)
         exps = [0, 0, 0]
-        while True:
-            if i < n and tokens[i].isdigit():
-                num = take_int("number")
-                if i < n and tokens[i] == "/":
-                    i += 1
-                    den = take_int("denominator")
-                    if not den:
-                        raise ValueError("zero denominator in polynomial text")
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-            elif i < n and tokens[i] in _SYMBOL_INDEX:
-                idx = _SYMBOL_INDEX[tokens[i]]
-                i += 1
-                e = 1
-                if i < n and tokens[i] == "^":
-                    i += 1
-                    e = take_int("exponent")
-                exps[idx] += e
+        for factor in term.split("*"):
+            num, den, name, power = _FACTOR_RE.match(factor).groups()
+            if name:
+                exps[_SYMBOL_INDEX[name]] += int(power or 1)
+            elif den is None:
+                coeff *= int(num)
+            elif int(den):
+                coeff *= Fraction(int(num), int(den))
             else:
-                got = tokens[i] if i < n else "end of input"
-                raise ValueError(f"unexpected {got!r} in polynomial text")
-            if i < n and tokens[i] == "*":
-                i += 1
-                continue
-            break
+                raise ValueError(f"zero denominator in polynomial text: {text!r}")
         key = (exps[0], exps[1], exps[2])
-        if coeff:
-            prev = terms.get(key, Fraction(0)) + coeff
-            if prev:
-                terms[key] = prev
-            elif key in terms:
-                del terms[key]
-        if i >= n:
-            break
-        if tokens[i] == "+":
-            sign = 1
-        elif tokens[i] == "-":
-            sign = -1
-        else:
-            raise ValueError(f"unexpected {tokens[i]!r} between terms")
-        i += 1
+        terms[key] = terms.get(key, 0) + coeff
     return MultiPoly(terms)

@@ -88,11 +88,22 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, r: int) -> "TruncatedSeries":
+        """``self^r`` by repeated squaring, from the lowest set bit of ``r`` up.
+
+        The constant 1 is never a factor, so r = 1, 2, 3 cost 0, 1, 2 products.
+        """
         if r < 0:
             raise ValueError("negative series power; use invert() first")
         if r == 0:
             return TruncatedSeries.constant(1, self.order)
-        return self.powers(r)[-1]
+        base, out = self, None
+        while True:
+            if r & 1:
+                out = base if out is None else base * out
+            r >>= 1
+            if not r:
+                return out
+            base = base * base
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""

@@ -47,6 +47,7 @@ from .degen import (
     deg_falling_factorials,
     deg_log,
     deg_polyexp,
+    index_tuple,
     polyexp_modified,
     stirling1_deg_recurrence,
 )
@@ -195,7 +196,7 @@ class FamilyMemo:
         return value
 
     def multi_poly_genocchi(self, ks, argument, n_max: int) -> PolyFamily:
-        return self._family(families.multi_poly_genocchi_deg, (_norm_ks(ks),), argument, n_max)
+        return self._family(families.multi_poly_genocchi_deg, (index_tuple(ks),), argument, n_max)
 
     def poly_genocchi(self, k: int, argument, n_max: int) -> PolyFamily:
         return self._family(families.poly_genocchi_deg, (k,), argument, n_max)
@@ -301,17 +302,13 @@ def _convolution_cells(lhs, a, b, n_lo: int, n_max: int) -> list[VerifyCell]:
     ]
 
 
-def _norm_ks(ks) -> tuple[int, ...]:
-    return tuple(int(k) for k in ks)
-
-
 def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Chain-sum expansion of g_n(x) over order-r Euler polynomials.
 
     Cells cover n = r..n_max; the n < r vanishing clause is asserted too and
     surfaces as extra failing cells only when violated.
     """
-    ks = _norm_ks(ks)
+    ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     r = len(ks)
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
@@ -327,7 +324,7 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
 
 def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Same expansion with Euler replaced by order-r Genocchi via Eq19."""
-    ks = _norm_ks(ks)
+    ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     r = len(ks)
     if n_max < r:
@@ -347,7 +344,7 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
 
 def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Numbers at argument r via alternating sums of order-l Euler numbers."""
-    ks = _norm_ks(ks)
+    ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     r = len(ks)
     if n_max < r:
@@ -367,7 +364,7 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
 
 def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Addition rule g_n(x+y) = sum_l C(n,l) g_l(x) (y)_{n-l,lambda}."""
-    ks = _norm_ks(ks)
+    ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
@@ -378,7 +375,7 @@ def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
 
 def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Expansion g_n(x) = sum_l C(n,l) g_l (x)_{n-l,lambda} over the numbers."""
-    ks = _norm_ks(ks)
+    ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
@@ -389,7 +386,7 @@ def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
 
 def check_vanishing(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """g_n vanishes identically for n below the number of indices."""
-    ks = _norm_ks(ks)
+    ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     lhs = fam.values[: len(ks)]

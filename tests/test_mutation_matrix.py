@@ -6,7 +6,10 @@ below is patched into the function the store or the builder calls, so it
 reaches the cached value, and ``run_identity("all", N)`` on a fresh memo
 must still fail.  ``CAUGHT_BY`` records which reports catch each fault; a
 change that makes both sides of an identity share the faulty piece shows
-up as a shrunken set.
+up as a shrunken set.  ``FAULTS_BY_STORE_KIND`` records which faults change
+each kind of entry the store holds, so every shared piece has a fault.  Known
+blind spots: the ``inverse`` and ``deg_exp_at_r`` faults are caught by Thm3
+alone.
 """
 
 import math
@@ -141,8 +144,82 @@ CAUGHT_BY = {
 }
 
 
+# Each kind of entry the memo's store holds after a sweep, and the faults
+# that change a value stored under it.  A plain key is its own kind; a tuple
+# key's kind is its head, a family builder by name.
+FAULTS_BY_STORE_KIND = {
+    "2/(e+1)": {"inverse"},
+    ("2/(e+1)",): {"inverse"},
+    "log": {"deg_log"},
+    "log powers": {"deg_log"},
+    ("multi kernel",): {
+        "deg_log",
+        "falling_one_in_multi_polyexp",
+        "inverse",
+        "inverse_squared",
+        "multi_chain_step",
+    },
+    ("e^arg",): {"deg_exp_at_r", "deg_exp_at_x"},
+    ("chain products",): {"chain_enumeration", "falling_in_verify"},
+    ("chain factors",): {"chain_enumeration", "falling_in_verify", "stirling_4_2"},
+    ("falling",): {"falling_in_verify"},
+    ("genocchi_deg",): {"deg_exp_at_x", "inverse"},
+    ("poly_genocchi_deg",): {"deg_exp_at_x", "deg_log", "inverse"},
+    ("multi_poly_genocchi_deg",): {
+        "deg_exp_at_r",
+        "deg_exp_at_x",
+        "deg_log",
+        "falling_one_in_multi_polyexp",
+        "inverse",
+        "inverse_squared",
+        "multi_chain_step",
+    },
+    ("genocchi_deg_order",): {"deg_exp_at_x", "inverse"},
+    ("euler_deg_order",): {"deg_exp_at_x", "inverse", "inverse_squared"},
+    ("stirling1_deg_recurrence",): {"stirling_4_2"},
+}
+
+
+def _swept_store(renamed=None):
+    """``{(kind, key): value}`` of a fresh memo's store after ``run_identity("all", N)``.
+
+    A builder in a key is replaced by its name; ``renamed`` maps a patched
+    builder to the name of the builder it replaces.
+    """
+    memo = FamilyMemo()
+    run_identity("all", N, memo=memo)
+    out = {}
+    for key, (_, value) in memo._store._entries.items():
+        if not isinstance(key, str):
+            head = key[0] if isinstance(key[0], str) else (renamed or {}).get(key[0], key[0].__name__)
+            key = (head, *key[1:])
+        out[key if isinstance(key, str) else key[:1], key] = value
+    return out
+
+
+@pytest.fixture(scope="module")
+def clean_store():
+    return _swept_store()
+
+
 def test_matrix_names_every_fault():
     assert set(_faults()) == set(CAUGHT_BY)
+
+
+def test_every_store_kind_has_a_fault(clean_store):
+    assert {kind for kind, _ in clean_store} == set(FAULTS_BY_STORE_KIND)
+    for faults in FAULTS_BY_STORE_KIND.values():
+        assert faults and faults <= set(CAUGHT_BY)
+
+
+@pytest.mark.parametrize("fault", sorted(CAUGHT_BY))
+def test_fault_changes_the_store_kinds_listed(fault, clean_store, monkeypatch):
+    module, attribute, faulty = _faults()[fault]
+    original = getattr(module, attribute)
+    monkeypatch.setattr(module, attribute, faulty)
+    patched = _swept_store({faulty: original.__name__})
+    changed = {kind for (kind, key), value in patched.items() if clean_store.get((kind, key)) != value}
+    assert changed == {kind for kind, faults in FAULTS_BY_STORE_KIND.items() if fault in faults}
 
 
 @pytest.mark.parametrize("fault", sorted(CAUGHT_BY))

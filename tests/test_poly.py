@@ -188,6 +188,13 @@ def test_parse_rejects_an_exponent_past_the_bound():
         parse_poly(f"x^{2**18}*x^{2**18}")
 
 
+def test_parse_rejects_a_past_bound_exponent_under_a_zero_coefficient():
+    with pytest.raises(ValueError):
+        parse_poly(f"0*x^{2**19}")
+    with pytest.raises(ValueError):
+        parse_poly(f"x^{2**19} - x^{2**19}")
+
+
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None, 1j])
 def test_non_rational_scalars_raise_type_error(bad):
     # "no floating point appears anywhere": const(0.1) used to give

@@ -8,13 +8,14 @@ the oracle's own ``sum c * p * q``, one ``*`` and ``+`` per addend.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_poly as ref
@@ -136,6 +137,26 @@ def test_render_bytes_and_parse_round_trip(t):
     assert text == ref.render_poly(r)
     assert parse_poly(text) == p
     assert_same(parse_poly(text), ref.parse_poly(text))
+
+
+# the grammar's tokens, a non-ASCII digit, whitespace and a bad character
+PARSE_TOKENS = ("lambda", "x", "y", "0", "1", "2", "12", "\u0663", "/", "*", "^", "+", "-")
+TEXTS = st.lists(st.sampled_from(PARSE_TOKENS + (" ", "\t", "\n", "$")), max_size=14).map("".join)
+
+
+@settings(max_examples=1000)
+@given(TEXTS)
+def test_parse_agrees_with_the_oracle_parser(text):
+    # the oracle's token walk is a separate algorithm from the grammar regex;
+    # it has no exponent bound, so keep every integer below it
+    assume(all(len(digits) <= 4 for digits in re.findall(r"\d+", text)))
+    try:
+        expected = ref.parse_poly(text)
+    except (ValueError, ZeroDivisionError):  # the oracle has no zero-denominator check
+        with pytest.raises(ValueError):
+            parse_poly(text)
+    else:
+        assert_same(parse_poly(text), expected)
 
 
 @given(TERMS, TERMS)

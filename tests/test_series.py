@@ -125,6 +125,31 @@ def test_pow():
         t**-2
 
 
+def test_pow_by_squaring_matches_repeated_products():
+    s = rand_series(random.Random(5), 5)
+    assert s**0 == TruncatedSeries.constant(1, 5)
+    for r in range(1, 10):
+        assert s**r == s.powers(r)[-1]
+
+
+def test_pow_never_multiplies_by_one(monkeypatch):
+    products = []
+    mul = TruncatedSeries.__mul__
+    monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    s = TruncatedSeries.t(3) + 1
+    for r, count in ((1, 0), (2, 1), (3, 2), (4, 2), (8, 3)):
+        products.clear()
+        s**r
+        assert len(products) == count, r
+
+
+def test_pow_of_a_huge_exponent():
+    # (1 + t)^r: about two products per bit of r, not one per unit
+    r = 10**9
+    power = (TruncatedSeries.t(4) + 1) ** r
+    assert power == TruncatedSeries(4, [math.comb(r, m) for m in range(5)])
+
+
 def test_egf_coeff():
     s = TruncatedSeries(3, [1, 1, Fraction(1, 2), Fraction(1, 6)])
     for n in range(4):

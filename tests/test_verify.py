@@ -7,7 +7,7 @@ import pytest
 
 from fraction_chain_factors import chain_factors as fraction_chain_factors
 from degenpoly import families
-from degenpoly.degen import stirling1_deg_recurrence
+from degenpoly.degen import deg_multi_polyexp, stirling1_deg_recurrence
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.verify import (
     FamilyMemo,
@@ -335,3 +335,20 @@ def test_full_sweep_builds_each_genocchi_order_family_once(monkeypatch):
     assert all(report.passed for report in reports)
     at_x = [(r, argument) for r, argument, _ in built if argument == "x"]
     assert sorted(at_x) == [(1, "x"), (2, "x"), (3, "x")]
+
+
+@pytest.mark.parametrize("ks", [(1.5, 2), [1.9, 2.2], ("2",), "12", (True, 1)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda ks: deg_multi_polyexp(ks, 3),
+        lambda ks: families.multi_poly_genocchi_deg(ks, "x", 4),
+        lambda ks: FamilyMemo().multi_poly_genocchi(ks, "x", 4),
+        lambda ks: check_theorem1(ks, 6),
+    ],
+    ids=["deg_multi_polyexp", "multi_poly_genocchi_deg", "memo", "check_theorem1"],
+)
+def test_non_int_indices_raise_type_error(build, ks):
+    # each used to be truncated by int(): (1.5, 2) built the (1, 2) family
+    with pytest.raises(TypeError):
+        build(ks)
