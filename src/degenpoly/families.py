@@ -13,6 +13,13 @@ truncated series, and one shared assembly multiplies it by
 * ``multi_poly_genocchi_deg``: degenerate multi-poly-Genocchi,
   ``2^r Ei_{(k_1..k_r),lambda}(log_lambda(1+t)) / (e_lambda(t) + 1)^r * e_lambda^x(t)``
 
+Every kernel carries the factor ``K = 2 / (e_lambda(t) + 1)``.  It is not
+inverted from ``e_lambda(t) + 1``: it solves its Riccati equation
+``(1 + lambda t) K' = K^2 / 2 - K``, one symmetric square coefficient per
+step, and reads no ``deg_exp``, so Thm3, which sets it against
+``e_lambda^r(t)``, compares two separate routes.  Its powers ``K^r`` are
+series squares, which take each cross product once.
+
 The argument may be the symbol ``"x"``, the sum ``"x+y"``, or an exact
 rational (0 gives the number family).  ``multi_poly_genocchi_deg`` with a
 single index k equals ``poly_genocchi_deg(k, ...)``, and with k = 1 both
@@ -42,8 +49,8 @@ from fractions import Fraction
 from typing import Any, Callable, Hashable, Sequence, TypeVar, Union
 
 from .degen import deg_exp, deg_log, deg_multi_polyexp, deg_polyexp, index_tuple
-from .poly import LAM, MultiPoly
-from .series import TruncatedSeries
+from .poly import LAM, ONE, MultiPoly, sum_of_products
+from .series import TruncatedSeries, square_terms
 
 Argument = Union[str, int, Fraction]
 T = TypeVar("T")
@@ -133,8 +140,19 @@ def _truncate_powers(powers: tuple[TruncatedSeries, ...], order: int):
 
 
 def _two_over_exp_plus_one(order: int, *, lam: MultiPoly) -> TruncatedSeries:
-    """``2 / (e_lambda(t) + 1)``, the factor every kernel is built from."""
-    return (deg_exp(1, order, lam=lam) + 1).invert() * 2
+    """``K = 2 / (e_lambda(t) + 1)``, the factor every kernel is built from.
+
+    ``e_lambda(t)' = e_lambda(t) / (1 + lambda t)`` makes K solve the Riccati
+    equation ``(1 + lambda t) K' = K^2 / 2 - K``, so from ``K_0 = 1``
+    ``2(n+1) K_{n+1} = [t^n] K^2 - 2(1 + n lambda) K_n``: each step is one
+    sum of the square's symmetric triples and that one more term.
+    """
+    k = [ONE]
+    for n in range(order):
+        terms = square_terms(k, n)
+        terms.append((-2, lam * n + 1, k[n]))
+        k.append(sum_of_products(terms) * Fraction(1, 2 * (n + 1)))
+    return TruncatedSeries(order, k)
 
 
 def _two_over_exp_plus_one_power(r: int, order: int, *, lam: MultiPoly) -> TruncatedSeries:

@@ -40,10 +40,11 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, TypeVar, Union
 
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
+R = TypeVar("R")  # a ring element: a polynomial or a truncated series
 
 SYMBOLS = ("lambda", "x", "y")
 _SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
@@ -206,10 +207,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = MultiPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power_by_squaring(self, n) if n else MultiPoly.const(1)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -278,6 +276,22 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({render_poly(self)!r})"
+
+
+def power_by_squaring(base: R, n: int) -> R:
+    """``base^n`` for ``n >= 1`` by repeated squaring, from the lowest set bit of ``n`` up.
+
+    The constant 1 is never a factor, so n = 1, 2, 3 cost 0, 1, 2 products,
+    and each squaring is ``base * base``, one operand times itself.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else base * out
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def sum_of_products(terms: Iterable[tuple[int, MultiPoly, MultiPoly]]) -> MultiPoly:

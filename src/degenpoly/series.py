@@ -16,13 +16,23 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .poly import MultiPoly, ZERO, sum_of_products
+from .poly import MultiPoly, ZERO, power_by_squaring, sum_of_products
 
 CoeffLike = Union[MultiPoly, int, Fraction]
 
 
 def _as_poly(value: CoeffLike) -> MultiPoly:
     return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
+
+
+def square_terms(a: Sequence[MultiPoly], m: int) -> list[tuple[int, MultiPoly, MultiPoly]]:
+    """The ``(c, p, q)`` triples of ``[t^m] a(t)^2``, each cross product once.
+
+    ``a_i a_{m-i}`` and ``a_{m-i} a_i`` are one triple of weight 2 and the
+    middle ``a_{m/2}^2`` of an even m has weight 1: ``m // 2 + 1`` triples,
+    read from ``a_0 .. a_m``.
+    """
+    return [(1 if 2 * i == m else 2, a[i], a[m - i]) for i in range(m // 2 + 1)]
 
 
 class TruncatedSeries:
@@ -82,28 +92,21 @@ class TruncatedSeries:
             return NotImplemented
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
-        out = [sum_of_products((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(len(a))]
+        if other is self:
+            out = [sum_of_products(square_terms(a, m)) for m in range(len(a))]
+        else:
+            out = [sum_of_products((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(len(a))]
         return TruncatedSeries(self.order, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, r: int) -> "TruncatedSeries":
-        """``self^r`` by repeated squaring, from the lowest set bit of ``r`` up.
-
-        The constant 1 is never a factor, so r = 1, 2, 3 cost 0, 1, 2 products.
-        """
+        """``self^r`` by repeated squaring, each squaring a square of a series."""
         if r < 0:
             raise ValueError("negative series power; use invert() first")
         if r == 0:
             return TruncatedSeries.constant(1, self.order)
-        base, out = self, None
-        while True:
-            if r & 1:
-                out = base if out is None else base * out
-            r >>= 1
-            if not r:
-                return out
-            base = base * base
+        return power_by_squaring(self, r)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -119,15 +122,21 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, g)
 
     def powers(self, count: int) -> tuple["TruncatedSeries", ...]:
-        """``(self, self^2, ..., self^count)``, each power made from the one before.
+        """``(self, self^2, ..., self^count)``.
 
-        When ``self`` has valuation at least 1, ``self^(j-1)`` is zero below
-        ``t^(j-1)``; the product skips zero coefficients, so each power costs only
-        its coefficients from ``t^j`` up.
+        An even power ``self^(2k)`` is the square of ``self^k``, which takes
+        each cross product once; an odd one is ``self^(2k) * self``.  When
+        ``self`` has valuation at least 1, ``self^k`` is zero below ``t^k``;
+        the product skips zero coefficients, so each power ``self^j`` costs
+        only its coefficients from ``t^j`` up.
         """
         out: list[TruncatedSeries] = []
-        for _ in range(count):
-            out.append(out[-1] * self if out else self)
+        for j in range(1, count + 1):
+            if j % 2:
+                out.append(out[-1] * self if out else self)
+            else:
+                half = out[j // 2 - 1]
+                out.append(half * half)
         return tuple(out)
 
     def compose(

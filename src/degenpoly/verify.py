@@ -573,7 +573,7 @@ def run_identity(
         # Eq19 (r <= EQ19_R_MAX) and Cor2 (r = len(ks) <= n_max; a longer list
         # gives a vacuous report) ask for order-r Genocchi at n_max + r, the
         # highest orders of the sweep.  Building the highest first lets the
-        # memo invert e_lambda(t)+1 once and cut every later request down from it.
+        # memo build 2/(e_lambda(t)+1) once and cut every later request down from it.
         r_top = max([EQ19_R_MAX, *(len(ks) for ks in lists if len(ks) <= n_max)])
         memo.genocchi_order(r_top, "x", n_max + r_top)
         reports: list[VerifyReport] = []

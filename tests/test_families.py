@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from degenpoly import families
+from degenpoly import degen, families, poly, series
 from degenpoly.families import (
     PolyFamily,
     euler_deg_order,
@@ -196,3 +196,40 @@ def test_number_families_are_the_kernel_times_e_lambda_to_the_0(lam, monkeypatch
     for kernel, family in seen:
         product = kernel * deg_exp(0, n, lam=lam)
         assert family.values == tuple(product.egf_coeff(m) for m in range(n + 1))
+
+
+def _route_by_inversion(order, lam):
+    return (deg_exp(1, order, lam=lam) + 1).invert() * 2
+
+
+@pytest.mark.parametrize(
+    "lam", [LAM, ZERO, MultiPoly.const(Fraction(1, 2)), MultiPoly.const(-2)], ids=str
+)
+def test_riccati_factor_matches_the_inversion_of_e_lambda_plus_one(lam):
+    for order in range(25):
+        assert families._two_over_exp_plus_one(order, lam=lam) == _route_by_inversion(order, lam)
+
+
+def test_riccati_factor_makes_fewer_term_pair_products_than_the_inversion(monkeypatch):
+    # every polynomial product in either route is one sum_of_products call
+    pairs = [0]
+
+    def counting(original):
+        def spy(terms):
+            terms = list(terms)
+            pairs[0] += sum(len(p.num) * len(q.num) for c, p, q in terms if c)
+            return original(terms)
+
+        return spy
+
+    for module in (poly, series, degen, families):
+        monkeypatch.setattr(module, "sum_of_products", counting(module.sum_of_products))
+
+    def count(build):
+        pairs[0] = 0
+        build()
+        return pairs[0]
+
+    riccati = count(lambda: families._two_over_exp_plus_one(24, lam=LAM))
+    inversion = count(lambda: _route_by_inversion(24, LAM))
+    assert 0 < riccati < inversion, f"Riccati {riccati} term pairs, inversion {inversion}"

@@ -91,7 +91,7 @@ def _faults():
         return _bump(exp(weight, order, **lam)) if weight == "x" else exp(weight, order, **lam)
 
     def exp_bumped_at_r(weight, order, **lam):
-        # not at 1: the inversion of e_lambda(t)+1 reads that weight too
+        # weights 2 and 3 only, which reach just the families at argument r
         return _bump(exp(weight, order, **lam)) if weight in (2, 3) else exp(weight, order, **lam)
 
     return {

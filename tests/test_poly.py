@@ -8,6 +8,7 @@ import pytest
 
 from degenpoly.poly import (
     LAM,
+    MAX_EXPONENT,
     ONE,
     X,
     Y,
@@ -84,6 +85,31 @@ def test_pow():
     assert (X + 1) ** 2 == X * X + 2 * X + 1
     with pytest.raises(ValueError):
         (X + 1) ** -1
+
+
+def test_pow_matches_repeated_products():
+    p = LAM * X - Fraction(2, 3) * Y + 1
+    product = ONE
+    for n in range(10):
+        assert p**n == product, n
+        product = product * p
+
+
+def test_pow_at_the_exponent_bound():
+    assert X**MAX_EXPONENT == MultiPoly({(0, MAX_EXPONENT, 0): 1})
+    with pytest.raises(OverflowError):
+        X ** (MAX_EXPONENT + 1)
+
+
+def test_polynomial_pow_squares_and_never_multiplies_by_one(monkeypatch):
+    products = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    # one squaring per bit above the lowest, one product per further set bit
+    for n, count in ((1, 0), (2, 1), (3, 2), (4, 2), (8, 3), (200_000, 22)):
+        products.clear()
+        assert (X**n).degree("x") == n
+        assert len(products) == count, n
 
 
 def test_substitute_and_evaluate():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly import series
 from degenpoly.poly import LAM, ONE, X, ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
 
@@ -141,6 +142,24 @@ def test_pow_never_multiplies_by_one(monkeypatch):
         products.clear()
         s**r
         assert len(products) == count, r
+
+
+def test_square_takes_each_cross_product_once(monkeypatch):
+    triples = []
+    original = series.sum_of_products
+
+    def spy(terms):
+        terms = list(terms)
+        triples.append(len(terms))
+        return original(terms)
+
+    monkeypatch.setattr(series, "sum_of_products", spy)
+    s = rand_series(random.Random(11), 9)
+    s * s
+    assert triples == [m // 2 + 1 for m in range(10)]
+    triples.clear()
+    s * TruncatedSeries(s.order, list(s.coeffs))  # another object: the general product
+    assert triples == [m + 1 for m in range(10)]
 
 
 def test_pow_of_a_huge_exponent():

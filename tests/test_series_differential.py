@@ -1,10 +1,14 @@
-"""Differential tests: series composition against the Horner oracle.
+"""Differential tests: series composition against the Horner oracle, squares
+and powers against plain products.
 
 ``TruncatedSeries.compose`` sums ``f_j g^j`` over the powers of the inner
 series; ``tests/horner_compose.py`` keeps the earlier Horner loop.  Both run
 on the same series, with coefficients in lambda, x and y over mixed
 denominators, and must give equal series, whether ``compose`` builds the
-powers itself or is handed them.
+powers itself or is handed them.  A series times itself takes each cross
+product once; it must equal the general product with an equal series that
+is another object, and the Cauchy sum over ``tests/fraction_poly.py``.
+``powers`` squares for its even powers and must equal running products.
 """
 
 import pytest
@@ -14,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fraction_poly as ref
 from horner_compose import compose as horner_compose
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
@@ -68,6 +73,28 @@ def test_compose_with_zero_inner_is_the_constant_term(outer):
     assert composed == horner_compose(outer, zero)
     assert composed == TruncatedSeries.constant(outer.coeffs[0], outer.order)
     assert zero.compose(outer - outer.coeffs[0]) == zero
+
+
+@given(ORDERS.flatmap(series))
+def test_square_matches_the_general_product_and_the_fraction_oracle(s):
+    square = s * s
+    assert square == s * TruncatedSeries(s.order, list(s.coeffs))
+    a = [ref.MultiPoly(c.terms) for c in s.coeffs]
+    for m, coeff in enumerate(square.coeffs):
+        expected = ref.MultiPoly()
+        for i in range(m + 1):
+            expected = expected + a[i] * a[m - i]
+        assert coeff.terms == expected.terms, m
+
+
+@given(st.tuples(ORDERS, st.integers(0, 2)).flatmap(lambda args: series(*args)), st.integers(0, 9))
+def test_powers_match_running_products(s, count):
+    powers = s.powers(count)
+    assert len(powers) == count
+    running = s
+    for j, power in enumerate(powers, 1):
+        assert power == running, j
+        running = running * s
 
 
 def test_compose_errors():

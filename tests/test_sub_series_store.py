@@ -79,14 +79,14 @@ def test_a_store_is_active_only_while_it_builds():
 
 
 def test_two_memos_share_no_sub_series(monkeypatch):
-    inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
+    factors = _count_calls(monkeypatch, families, "_two_over_exp_plus_one")
     first, second = FamilyMemo(), FamilyMemo()
     first.multi_poly_genocchi((1, 2), "x", 6)
     first.euler_order(2, "x", 6)
     first.poly_genocchi(2, "x", 6)
-    assert len(inversions) == 1
+    assert len(factors) == 1
     second.multi_poly_genocchi((1, 2), "x", 6)
-    assert len(inversions) == 2
+    assert len(factors) == 2
     a, b = first._store._entries, second._store._entries
     shared_keys = a.keys() & b.keys()
     assert shared_keys
@@ -97,13 +97,13 @@ def test_builder_outside_a_memo_builds_its_own_sub_series(monkeypatch):
     # the compute path: no memo, so nothing cached by an earlier memo run
     memo = FamilyMemo()
     run_identity("all", 4, memo=memo)
-    inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
+    factors = _count_calls(monkeypatch, families, "_two_over_exp_plus_one")
     logs = _count_calls(monkeypatch, families, "deg_log")
     kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
     exps = _count_calls(monkeypatch, families, "deg_exp")
     families.multi_poly_genocchi_deg((1, 2), "x", 4)
     families.multi_poly_genocchi_deg((1, 2), "x", 4)
-    assert len(inversions) == 2
+    assert len(factors) == 2
     assert len(logs) == 2
     assert len(kernels) == 2
     assert [call for call in exps if call[0] == "x"] == [("x", 4), ("x", 4)]
@@ -113,7 +113,7 @@ def test_builder_outside_a_memo_builds_its_own_sub_series(monkeypatch):
 def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     factors = _count_calls(monkeypatch, verify, "_chain_factors")
     products = _count_calls(monkeypatch, verify, "_chain_products")
-    inversions = _count_calls(monkeypatch, TruncatedSeries, "invert")
+    two_over = _count_calls(monkeypatch, families, "_two_over_exp_plus_one")
     logs = _count_calls(monkeypatch, families, "deg_log")
     kernels = _count_calls(monkeypatch, families, "deg_multi_polyexp")
     exps = _count_calls(monkeypatch, families, "deg_exp")
@@ -125,16 +125,17 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     assert sorted(ks for ks, _ in kernels) == sorted(default_k_lists())
     assert len(kernels) == 29
     assert sorted(r for r, _ in products) == [1, 2, 3]
-    # e_lambda(t)+1 once, at order 11 for the order-3 Genocchi build of
+    # 2/(e_lambda(t)+1) once, at order 11 for the order-3 Genocchi build of
     # Cor2/Eq19 that the sweep asks for first; every other build is served
     # by truncation
-    assert len(inversions) == 1
+    assert two_over == [(11,)]
     assert logs == [(8,)]
-    # e_lambda^arg(t) once per argument: 1 at order 11 inside that inversion,
-    # x at 11 for the same build, x+y for Prop4 and r = 1, 2, 3 for Thm3;
-    # the number families at argument 0 multiply by no e_lambda^0(t) = 1
-    assert len(exps) == 6
-    assert set(exps) == {(1, 11), ("x", 11), ("x+y", 8), (1, 8), (2, 8), (3, 8)}
+    # e_lambda^arg(t) once per argument: x at order 11 for that same build,
+    # x+y for Prop4 and r = 1, 2, 3 for Thm3; 2/(e_lambda(t)+1) comes from
+    # its Riccati recurrence and reads no e_lambda(t), and the number
+    # families at argument 0 multiply by no e_lambda^0(t) = 1
+    assert len(exps) == 5
+    assert set(exps) == {("x", 11), ("x+y", 8), (1, 8), (2, 8), (3, 8)}
     assert all(weight != 0 for weight, _ in exps)
     # (x)_{m,lambda} and (y)_{m,lambda} once per sweep, for Eq15 and Prop4;
     # base 1 once per r for the chain products

@@ -182,3 +182,16 @@ def test_family_egf_matches_the_paper_generating_function(builder, params, r, nu
     for m in range(FAMILY_N + 1):
         diff = lhs.coeff_monomial(T**m) - rhs.coeff_monomial(T**m)
         assert sympy.expand(diff) == 0, m
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-2)])
+def test_two_over_exp_plus_one_matches_the_sympy_series(q):
+    # 2 / (e_lambda(t) + 1) at lambda = q, with e_lambda(t) = (1 + q t)^(1/q)
+    # expanded by sympy, against the factor built from its Riccati recurrence
+    order = 10
+    q_sym = sympy.Rational(q.numerator, q.denominator)
+    expr = 2 / ((1 + q_sym * T) ** (1 / q_sym) + 1)
+    expected = sympy.series(expr, T, 0, order + 1).removeO()
+    factor = families._two_over_exp_plus_one(order, lam=MultiPoly.const(q))
+    for m, coeff in enumerate(factor.coeffs):
+        assert to_sympy(coeff) == expected.coeff(T, m), m
