@@ -13,10 +13,10 @@ Exit codes: 0 success / all cells passed, 1 at least one cell failed,
 2 usage error, or an ``--out`` file or stdout that cannot be written.
 Output is deterministic: identical invocations produce byte-identical
 files.  Values are exact; symbolic lambda or argument is the flag token
-``sym`` / ``sym-x``, rationals are ``p/q`` or integer text, and no floating
-point appears anywhere.  A rational ``--lambda`` is applied while
-building: the table is computed at that lambda, never built symbolically
-and substituted.
+``sym`` / ``sym-x``, numbers are ASCII ``p/q`` or integer text, and no
+floating point appears anywhere.  A rational ``--lambda`` is applied
+while building: the table is computed at that lambda, never built
+symbolically and substituted.
 
 The only environment variable read is ``DEGENPOLY_OUT_DIR``, an optional
 directory prefix for relative ``--out`` paths.
@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compute", help="compute a family and emit a coefficient table")
     pc.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    pc.add_argument("--n-max", dest="n_max", type=int, default=8)
-    pc.add_argument("--r", type=int, default=None, help="order (genocchi-r, euler-r)")
+    pc.add_argument("--n-max", dest="n_max", type=_int, default=8)
+    pc.add_argument("--r", type=_int, default=None, help="order (genocchi-r, euler-r)")
     pc.add_argument("--ks", default=None, help="comma-separated integer indices, e.g. 1,2")
     pc.add_argument("--lambda", dest="lam", default="sym", help="'sym' or a rational p/q")
     pc.add_argument(
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="verify identities and emit a report")
     pv.add_argument("--identity", required=True, choices=verify_mod.IDENTITY_CHOICES)
-    pv.add_argument("--n-max", dest="n_max", type=int, default=8)
+    pv.add_argument("--n-max", dest="n_max", type=_int, default=8)
     pv.add_argument("--r", default=None, help="restrict the sweep: an int or a range like 1-3")
     pv.add_argument(
         "--ks", default="sweep", help="comma-separated indices for one k-list, or 'sweep'"
@@ -95,37 +95,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?$")
+# The one number grammar: int() text minus "_" and non-ASCII digits; p/q, no decimals.
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
-def _parse_rational(text: str, what: str, parser: argparse.ArgumentParser) -> Fraction:
-    # integer or p/q text only; no decimal notation anywhere
+def _int(text: str, message: str = "") -> int:
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(message)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type of --n-max, --r: "invalid int value: '1_0'"
+
+
+def _parse_rational(text: str, what: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
-        parser.error(f"{what} must be an integer or p/q, got {text!r}")
+        raise ValueError(f"{what} must be an integer or p/q, got {text!r}")
     return Fraction(text)
 
 
-def _parse_ks(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError:
-        parser.error(f"--ks must be comma-separated integers, got {text!r}")
-    return ks
+def _parse_ks(text: str) -> tuple[int, ...]:
+    message = f"--ks must be comma-separated integers, got {text!r}"
+    return tuple(_int(part, message) for part in text.split(","))
 
 
-def _parse_r_filter(text: str, parser: argparse.ArgumentParser) -> range:
+def _parse_r_filter(text: str) -> range:
     # a range, not a set: membership costs the same at any width of --r
-    try:
-        if "-" in text[1:]:
-            split_at = text.index("-", 1)
-            lo, hi = int(text[:split_at]), int(text[split_at + 1 :])
-            if lo > hi:
-                raise ValueError
-            return range(lo, hi + 1)
-        r = int(text)
-        return range(r, r + 1)
-    except ValueError:
-        parser.error(f"--r must be an int or a range like 1-3, got {text!r}")
+    message = f"--r must be an int or a range like 1-3, got {text!r}"
+    head, dash, tail = text[1:].partition("-")  # a sign may lead the low end
+    lo = _int(text[:1] + head, message)
+    hi = _int(tail, message) if dash else lo
+    if lo > hi:
+        raise ValueError(message)
+    return range(lo, hi + 1)
 
 
 def _out_path(out: str) -> str | None:
@@ -257,32 +260,30 @@ def _entries(built, n_max: int):
     return [(n, None, value) for n, value in enumerate(values)]
 
 
-def cmd_compute(args, parser: argparse.ArgumentParser) -> int:
+def cmd_compute(args) -> int:
     if args.n_max < 0:
-        parser.error("--n-max must be nonnegative")
+        raise ValueError("--n-max must be nonnegative")
     family = args.family
     module, builder, inputs, family_id = FAMILIES[family]
-    lam = (
-        LAM if args.lam == "sym" else MultiPoly.const(_parse_rational(args.lam, "--lambda", parser))
-    )
-    ks = _parse_ks(args.ks, parser) if args.ks is not None else None
+    lam = LAM if args.lam == "sym" else MultiPoly.const(_parse_rational(args.lam, "--lambda"))
+    ks = _parse_ks(args.ks) if args.ks is not None else None
 
     takes_ks = "ks" in inputs or "k" in inputs
     if takes_ks and ks is None:
-        parser.error(f"--family {family} requires --ks")
+        raise ValueError(f"--family {family} requires --ks")
     if not takes_ks and ks is not None:
-        parser.error(f"--family {family} does not take --ks")
+        raise ValueError(f"--family {family} does not take --ks")
     if "k" in inputs and len(ks) != 1:
-        parser.error(f"--family {family} takes exactly one index in --ks")
+        raise ValueError(f"--family {family} takes exactly one index in --ks")
     if "r" in inputs:
         if args.r is None or args.r < 1:
-            parser.error(f"--family {family} requires --r >= 1")
+            raise ValueError(f"--family {family} requires --r >= 1")
     elif args.r is not None:
         if ks is None or args.r != len(ks):
-            parser.error(f"--r does not apply to --family {family} (or mismatches --ks)")
+            raise ValueError(f"--r does not apply to --family {family} (or mismatches --ks)")
     if "arg" not in inputs and args.arg != "sym-x":
-        parser.error(f"--family {family} does not take --arg")
-    argument = "x" if args.arg == "sym-x" else _parse_rational(args.arg, "--arg", parser)
+        raise ValueError(f"--family {family} does not take --arg")
+    argument = "x" if args.arg == "sym-x" else _parse_rational(args.arg, "--arg")
 
     meta = {
         "version": __version__,
@@ -302,10 +303,7 @@ def cmd_compute(args, parser: argparse.ArgumentParser) -> int:
         "lambda": args.lam,
     }
     given = {"arg": argument, "r": args.r, "k": ks and ks[0], "ks": ks}
-    try:
-        built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max, lam=lam)
-    except ValueError as exc:
-        parser.error(str(exc))
+    built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max, lam=lam)
     with_value = args.format == "json"
     records = [
         _poly_record(family_id, params, n, value, k, with_value)
@@ -348,36 +346,33 @@ def _fmt_param(value) -> str:
     return str(value)
 
 
-def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args) -> int:
     if args.n_max < 0:
-        parser.error("--n-max must be nonnegative")
+        raise ValueError("--n-max must be nonnegative")
     if args.identity == "basics" and (args.ks != "sweep" or args.r is not None):
-        parser.error("--identity basics takes no --ks or --r")
-    r_filter = _parse_r_filter(args.r, parser) if args.r is not None else None
+        raise ValueError("--identity basics takes no --ks or --r")
+    r_filter = _parse_r_filter(args.r) if args.r is not None else None
     if args.ks == "sweep":
         k_lists = None
         if r_filter is not None:
             k_lists = [ks for ks in verify_mod.default_k_lists() if len(ks) in r_filter]
             if not k_lists:
-                parser.error("no sweep k-lists match --r")
+                raise ValueError("no sweep k-lists match --r")
     else:
-        k_lists = [_parse_ks(args.ks, parser)]
+        k_lists = [_parse_ks(args.ks)]
         if r_filter is not None and len(k_lists[0]) not in r_filter:
-            parser.error("--r does not match the length of --ks")
+            raise ValueError("--r does not match the length of --ks")
 
     memo = verify_mod.FamilyMemo(corrupt=args.corrupt)
-    try:
-        reports = verify_mod.run_identity(args.identity, args.n_max, k_lists, memo)
-    except ValueError as exc:
-        parser.error(str(exc))
+    reports = verify_mod.run_identity(args.identity, args.n_max, k_lists, memo)
     if not reports:
         # the default sweep skips k-lists longer than n_max; a run that
         # checked nothing must not read as a pass
-        parser.error(f"no sweep k-list is short enough for --n-max {args.n_max}")
+        raise ValueError(f"no sweep k-list is short enough for --n-max {args.n_max}")
     if args.ks == "sweep" and all(report.vacuous for report in reports):
         # --r keeps sweep k-lists longer than n_max, whose reports check no cell
         message = f"every report is vacuous: no sweep k-list checks a cell at --n-max {args.n_max}"
-        parser.error(message)
+        raise ValueError(message)
     passed = all(report.passed for report in reports)
 
     if args.format == "json":
@@ -405,7 +400,10 @@ def cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # each usage error past argparse's own
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

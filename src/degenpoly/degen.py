@@ -115,6 +115,13 @@ class StirlingTable:
     n_max: int
     entries: tuple[tuple[MultiPoly, ...], ...]
 
+    def __post_init__(self) -> None:
+        if len(self.entries) != self.n_max + 1:
+            raise ValueError(f"expected {self.n_max + 1} rows, got {len(self.entries)}")
+        for n, row in enumerate(self.entries):
+            if len(row) != n + 1:
+                raise ValueError(f"expected {n + 1} entries in row {n}, got {len(row)}")
+
     def value(self, n: int, k: int) -> MultiPoly:
         if not 0 <= n <= self.n_max or k < 0:
             raise ValueError(f"Stirling index ({n}, {k}) outside table range")

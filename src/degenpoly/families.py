@@ -13,12 +13,11 @@ truncated series, and one shared assembly multiplies it by
 * ``multi_poly_genocchi_deg``: degenerate multi-poly-Genocchi,
   ``2^r Ei_{(k_1..k_r),lambda}(log_lambda(1+t)) / (e_lambda(t) + 1)^r * e_lambda^x(t)``
 
-Every kernel carries the factor ``K = 2 / (e_lambda(t) + 1)``.  It is not
-inverted from ``e_lambda(t) + 1``: it solves its Riccati equation
-``(1 + lambda t) K' = K^2 / 2 - K``, one symmetric square coefficient per
-step, and reads no ``deg_exp``, so Thm3, which sets it against
-``e_lambda^r(t)``, compares two separate routes.  Its powers ``K^r`` are
-series squares, which take each cross product once.
+Every kernel carries the factor ``K = 2 / (e_lambda(t) + 1)``.  It solves
+its Riccati equation ``(1 + lambda t) K' = K^2 / 2 - K``, one symmetric
+square coefficient per step, and reads no ``deg_exp``, so Thm3, which sets
+it against ``e_lambda^r(t)``, compares two separate routes.  Its powers
+``K^r`` are series squares, which take each cross product once.
 
 The argument may be the symbol ``"x"``, the sum ``"x+y"``, or an exact
 rational (0 gives the number family).  ``multi_poly_genocchi_deg`` with a

@@ -381,7 +381,7 @@ def render_poly(p: MultiPoly) -> str:
 
 # The grammar of parse_poly.  Whitespace is matched only before a token and at
 # the end: no two \s* are adjacent, so a rejected text fails in linear time.
-_FACTOR = r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(lambda|x|y)(?:\s*\^\s*(\d+))?)"
+_FACTOR = r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(lambda|x|y)(?:\s*\^\s*([0-9]+))?)"
 _TERM = rf"{_FACTOR}(?:\s*\*{_FACTOR})*"
 _POLY_RE = re.compile(rf"(?:\s*[+-])?{_TERM}(?:\s*[+-]{_TERM})*\s*")
 _FACTOR_RE = re.compile(_FACTOR)

@@ -3,6 +3,8 @@
 This is the arithmetic core that ``degenpoly.poly`` used before it stored
 integer numerators over one common denominator, kept unchanged so that
 ``tests/test_poly_differential.py`` can check the two against each other.
+Its one later edit: the tokenizer reads ASCII digits only, as
+``degenpoly.poly.parse_poly`` does.
 
 A polynomial is stored as a mapping from exponent triples ``(a, b, c)``,
 standing for ``lambda^a * x^b * y^c``, to nonzero rational coefficients.
@@ -252,7 +254,7 @@ def render_poly(p: MultiPoly) -> str:
     return "".join(parts)
 
 
-_TOKEN_RE = re.compile(r"lambda|x|y|\d+|[+\-*/^]|\s+")
+_TOKEN_RE = re.compile(r"lambda|x|y|[0-9]+|[+\-*/^]|\s+")
 
 
 def _tokenize(text: str) -> list[str]:

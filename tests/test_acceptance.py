@@ -5,11 +5,7 @@ bounds, not benchmarks.  Run with ``pytest -v tests/test_acceptance.py``
 (add ``-s`` to see the per-criterion lines on passing runs).
 """
 
-import itertools
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +22,7 @@ from degenpoly.degen import (
     stirling1_deg_recurrence,
 )
 from degenpoly.families import multi_poly_genocchi_deg
-from degenpoly.poly import LAM, ONE, ZERO, MultiPoly
+from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
 from degenpoly.verify import (
     FamilyMemo,
@@ -38,11 +34,12 @@ from degenpoly.verify import (
     check_vanishing,
     default_k_lists,
 )
+from chain_enumeration import brute_multi_polyexp
+from cli_subprocess import run_cli
 from falling_basis import falling_basis_coeffs
 from stirling_series import stirling1_deg_series
 
 DATA_DIR = Path(__file__).parent / "data"
-SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 SWEEP_N_MAX = 10
 PROP4_N_MAX = 8
 
@@ -177,19 +174,6 @@ def test_criterion_08_inverse_pair(order):
     report(f"criterion 8: inverse pair exact at order {order}", ok)
 
 
-def brute_multi_polyexp(ks, order: int) -> TruncatedSeries:
-    coeffs = [ZERO] * (order + 1)
-    for chain in itertools.combinations(range(1, order + 1), len(ks)):
-        term = ONE
-        for n_i, k_i in zip(chain, ks):
-            fall = ONE
-            for i in range(1, n_i):
-                fall = fall * (ONE - LAM * i)
-            term = term * fall * (Fraction(1, math.factorial(n_i - 1)) * Fraction(n_i) ** (-k_i))
-        coeffs[chain[-1]] = coeffs[chain[-1]] + term
-    return TruncatedSeries(order, coeffs)
-
-
 def test_criterion_09_dp_vs_brute_force():
     order = 10
     lists = [(k,) for k in range(-2, 3)]
@@ -200,15 +184,6 @@ def test_criterion_09_dp_vs_brute_force():
         "criterion 9: multiple polyexponential DP equals chain enumeration",
         ok,
         f"{len(lists)} k-lists, order {order}",
-    )
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run this checkout's CLI in a child process, never an installed copy."""
-    env = {k: v for k, v in os.environ.items() if k != "DEGENPOLY_OUT_DIR"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "degenpoly", *args], capture_output=True, text=True, env=env
     )
 
 

@@ -5,13 +5,13 @@ change of basis) and the multiple polyexponential DP by exhaustive chain
 enumeration, per the acceptance contract.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from degenpoly.degen import (
+    StirlingTable,
     classical_falling_factorial,
     deg_exp,
     deg_falling_factorials,
@@ -23,6 +23,7 @@ from degenpoly.degen import (
 )
 from degenpoly.poly import LAM, ONE, X, Y, ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
+from chain_enumeration import brute_multi_polyexp
 from falling_basis import falling_basis_coeffs
 from stirling_series import stirling1_deg_series
 
@@ -127,6 +128,20 @@ def test_stirling_recurrence_hand_values():
         stirling1_deg_recurrence(-1)
 
 
+def test_stirling_table_rows_must_match_n_max():
+    rows = stirling1_deg_recurrence(3).entries
+    assert StirlingTable(3, rows).value(3, 1) == LAM**2 - 3 * LAM + 2
+    # a table claiming more rows than it holds used to fail only on lookup,
+    # with an IndexError in place of value's ValueError
+    for n_max in (2, 4, 5):
+        with pytest.raises(ValueError, match="rows"):
+            StirlingTable(n_max, rows)
+    bad_rows = [rows[:2] + ((ONE,),) + rows[3:], rows[:3] + (rows[3] + (ONE,),)]
+    for bad in bad_rows:
+        with pytest.raises(ValueError, match="entries in row"):
+            StirlingTable(3, bad)
+
+
 def test_stirling_triple_oracle_to_12():
     n_max = 12
     table = stirling1_deg_recurrence(n_max)
@@ -190,21 +205,6 @@ def test_deg_polyexp_classical_limit():
         classical = polyexp_modified(k, 6)
         for n in range(7):
             assert deg.coeffs[n].substitute("lambda", 0) == classical.coeffs[n]
-
-
-def brute_multi_polyexp(ks, order: int) -> TruncatedSeries:
-    """Exhaustive chain enumeration, the oracle for the DP route."""
-    r = len(ks)
-    coeffs = [ZERO] * (order + 1)
-    for chain in itertools.combinations(range(1, order + 1), r):
-        term = ONE
-        for n_i, k_i in zip(chain, ks):
-            fall = ONE
-            for i in range(1, n_i):
-                fall = fall * (ONE - LAM * i)
-            term = term * fall * (Fraction(1, math.factorial(n_i - 1)) * Fraction(n_i) ** (-k_i))
-        coeffs[chain[-1]] = coeffs[chain[-1]] + term
-    return TruncatedSeries(order, coeffs)
 
 
 @pytest.mark.parametrize(

@@ -187,7 +187,12 @@ def test_parse_plain_forms():
     assert parse_poly("lambda^2*x*y") == LAM**2 * X * Y
 
 
-@pytest.mark.parametrize("bad", ["", "x +", "* x", "x ^", "1/$", "x^y", "3//2", "x y", "1/0"])
+# the last five hold non-ASCII digits, which int() reads but the grammar does not
+@pytest.mark.parametrize(
+    "bad",
+    ["", "x +", "* x", "x ^", "1/$", "x^y", "3//2", "x y", "1/0"]
+    + ["\u0663", "x^\u0662", "\u0661/2", "1/\u0662", "\uff13*x"],
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_poly(bad)
