@@ -25,6 +25,7 @@ directory prefix for relative ``--out`` paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -57,7 +58,14 @@ FAMILIES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by every :func:`main` call.
+
+    It reads ``FAMILIES``, ``verify.IDENTITY_CHOICES``, ``__version__`` and the
+    ``cmd_*`` functions when first built; ``build_parser.cache_clear()`` makes
+    the next call read them again.
+    """
     parser = argparse.ArgumentParser(
         prog="degenpoly",
         description="Exact degenerate Genocchi-type families: compute tables, verify identities.",
@@ -129,6 +137,14 @@ def _parse_r_filter(text: str) -> range:
     if lo > hi:
         raise ValueError(message)
     return range(lo, hi + 1)
+
+
+def _r_filter_text(r_filter: range | None) -> str | None:
+    """The plain spelling of a parsed --r, read back by :func:`_parse_r_filter`."""
+    if r_filter is None:
+        return None
+    lo, hi = r_filter[0], r_filter[-1]
+    return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
 def _out_path(out: str) -> str | None:
@@ -265,7 +281,8 @@ def cmd_compute(args) -> int:
         raise ValueError("--n-max must be nonnegative")
     family = args.family
     module, builder, inputs, family_id = FAMILIES[family]
-    lam = LAM if args.lam == "sym" else MultiPoly.const(_parse_rational(args.lam, "--lambda"))
+    lam_value = None if args.lam == "sym" else _parse_rational(args.lam, "--lambda")
+    lam = LAM if lam_value is None else MultiPoly.const(lam_value)
     ks = _parse_ks(args.ks) if args.ks is not None else None
 
     takes_ks = "ks" in inputs or "k" in inputs
@@ -284,6 +301,9 @@ def cmd_compute(args) -> int:
     if "arg" not in inputs and args.arg != "sym-x":
         raise ValueError(f"--family {family} does not take --arg")
     argument = "x" if args.arg == "sym-x" else _parse_rational(args.arg, "--arg")
+    # the parsed numbers, so every accepted spelling of one value prints alike
+    lam_text = "sym" if lam_value is None else str(lam_value)
+    arg_text = "sym-x" if argument == "x" else str(argument)
 
     meta = {
         "version": __version__,
@@ -292,15 +312,15 @@ def cmd_compute(args) -> int:
         "n_max": args.n_max,
         "r": args.r,
         "ks": list(ks) if ks else None,
-        "lambda": args.lam,
-        "arg": args.arg,
+        "lambda": lam_text,
+        "arg": arg_text,
         "format": args.format,
     }
     params = {
         "r": args.r if "r" in inputs else (len(ks) if "ks" in inputs else None),
         "ks": list(ks) if ks else None,
-        "argument": args.arg if "arg" in inputs else None,
-        "lambda": args.lam,
+        "argument": arg_text if "arg" in inputs else None,
+        "lambda": lam_text,
     }
     given = {"arg": argument, "r": args.r, "k": ks and ks[0], "ks": ks}
     built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max, lam=lam)
@@ -381,8 +401,8 @@ def cmd_verify(args) -> int:
             "command": "verify",
             "identity": args.identity,
             "n_max": args.n_max,
-            "r": args.r,
-            "ks": args.ks,
+            "r": _r_filter_text(r_filter),
+            "ks": args.ks if args.ks == "sweep" else ",".join(map(str, k_lists[0])),
             "format": args.format,
         }
         payload = {

@@ -9,7 +9,9 @@ product multiplies integers and denominators, a sum works over the lcm of
 the two denominators, and each result is reduced by one multi-argument gcd,
 so no per-coefficient :class:`fractions.Fraction` arithmetic is paid.
 :func:`sum_of_products` reduces a whole ``sum c * p * q`` once, not per addend,
-and ``p * q`` is its one-term case.
+and ``p * q`` is its one-term case.  An integer scale ``p * c`` needs no
+reduction pass: ``gcd(den, *num) == 1`` makes ``gcd(den, c)`` the whole
+common factor, so the result is ``num * (c // g)`` over ``den // g``.
 :attr:`MultiPoly.terms` gives the coefficients as reduced ``Fraction`` values.
 
 Monomial keys.  The monomial ``lambda^a * x^b * y^c`` is the one int
@@ -193,7 +195,15 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):
-            return _canonical({key: v * other for key, v in self.num.items()}, self.den)
+            if not other or not self.num:
+                return ZERO
+            # gcd(den, *num) == 1 gives gcd(den, other * num) == gcd(den, other)
+            g = math.gcd(self.den, other)
+            c = other // g
+            p = object.__new__(MultiPoly)
+            p.num = {key: v * c for key, v in self.num.items()}
+            p.den = self.den // g
+            return p
         if isinstance(other, Fraction):
             n = other.numerator
             num = {key: v * n for key, v in self.num.items()}

@@ -25,14 +25,22 @@ def _as_poly(value: CoeffLike) -> MultiPoly:
     return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
 
 
-def square_terms(a: Sequence[MultiPoly], m: int) -> list[tuple[int, MultiPoly, MultiPoly]]:
+def square_terms(
+    a: Sequence[MultiPoly], m: int, low: int = 0
+) -> list[tuple[int, MultiPoly, MultiPoly]]:
     """The ``(c, p, q)`` triples of ``[t^m] a(t)^2``, each cross product once.
 
     ``a_i a_{m-i}`` and ``a_{m-i} a_i`` are one triple of weight 2 and the
     middle ``a_{m/2}^2`` of an even m has weight 1: ``m // 2 + 1`` triples,
-    read from ``a_0 .. a_m``.
+    read from ``a_0 .. a_m``.  With ``a`` zero below ``t^low`` (and
+    ``m >= 2 * low``), the triples with ``i < low`` are zero and left out.
     """
-    return [(1 if 2 * i == m else 2, a[i], a[m - i]) for i in range(m // 2 + 1)]
+    return [(1 if 2 * i == m else 2, a[i], a[m - i]) for i in range(low, m // 2 + 1)]
+
+
+def _valuation(coeffs: Sequence[MultiPoly]) -> int:
+    """Index of the first nonzero coefficient; ``len(coeffs)`` if all are zero."""
+    return next((i for i, c in enumerate(coeffs) if c), len(coeffs))
 
 
 class TruncatedSeries:
@@ -86,17 +94,35 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other) -> "TruncatedSeries":
+        """The truncated product, or each coefficient times a scalar or polynomial.
+
+        A product of series starts at the operands' valuations ``va`` and
+        ``vb``: coefficients below ``t^(va+vb)`` are ``ZERO`` without a
+        kernel call, and each one above is one
+        :func:`~degenpoly.poly.sum_of_products` call over the triples
+        ``a_i b_{m-i}`` with ``i >= va`` and ``m - i >= vb``.  A series
+        times itself (the same object) is a square, whose triples take
+        each cross product once (:func:`square_terms`); any other pair,
+        equal or not, stays the general Cauchy product.
+        """
         if isinstance(other, (MultiPoly, int, Fraction)):
             return TruncatedSeries(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
         a, b = self.coeffs, other.coeffs
+        va = _valuation(a)
         if other is self:
-            out = [sum_of_products(square_terms(a, m)) for m in range(len(a))]
+            low = 2 * va
+            tail = [sum_of_products(square_terms(a, m, va)) for m in range(low, len(a))]
         else:
-            out = [sum_of_products((1, a[i], b[m - i]) for i in range(m + 1)) for m in range(len(a))]
-        return TruncatedSeries(self.order, out)
+            vb = _valuation(b)
+            low = va + vb
+            tail = [
+                sum_of_products((1, a[i], b[m - i]) for i in range(va, m - vb + 1))
+                for m in range(low, len(a))
+            ]
+        return TruncatedSeries(self.order, [ZERO] * min(low, len(a)) + tail)
 
     __rmul__ = __mul__
 
@@ -126,9 +152,10 @@ class TruncatedSeries:
 
         An even power ``self^(2k)`` is the square of ``self^k``, which takes
         each cross product once; an odd one is ``self^(2k) * self``.  When
-        ``self`` has valuation at least 1, ``self^k`` is zero below ``t^k``;
-        the product skips zero coefficients, so each power ``self^j`` costs
-        only its coefficients from ``t^j`` up.
+        ``self`` has valuation v, ``self^j`` is zero below ``t^(jv)``; the
+        product starts at its operands' valuations, so each power costs
+        only its coefficients from ``t^(jv)`` up and makes no kernel call
+        below.
         """
         out: list[TruncatedSeries] = []
         for j in range(1, count + 1):
@@ -145,9 +172,11 @@ class TruncatedSeries:
         """Substitute ``inner`` for t; ``inner`` must have zero constant term.
 
         Computes the sum ``f(g) = f_0 + sum_{j>=1} f_j g^j`` one output
-        coefficient at a time, ``[t^m] = sum_{j<=m} f_j [t^m] g^j`` (``g^j``
-        has valuation j), each one :func:`~degenpoly.poly.sum_of_products`
-        call.  The powers ``g^j``
+        coefficient at a time.  With v the valuation of ``g`` and w that of
+        ``f - f_0``, ``g^j`` has valuation ``jv``, so
+        ``[t^m] = sum_{w<=j<=m/v} f_j [t^m] g^j``: one
+        :func:`~degenpoly.poly.sum_of_products` call per coefficient
+        from ``t^(wv)`` up, and ``ZERO`` below.  The powers ``g^j``
         come from :meth:`powers`, up to the last nonzero ``f_j``; a caller
         that composes several series with one ``g`` may pass them as
         ``powers`` (``powers[j - 1]`` is ``g^j``, at this order) to build
@@ -162,11 +191,16 @@ class TruncatedSeries:
         top = max((j for j in range(1, len(f)) if f[j]), default=0)
         if powers is None:
             powers = inner.powers(top)
-        out = [f[0]] + [
-            sum_of_products((1, f[j], powers[j - 1].coeffs[m]) for j in range(1, min(m, top) + 1))
-            for m in range(1, len(f))
+        v = _valuation(inner.coeffs)
+        w = _valuation(f[1:]) + 1
+        low = min(w * v, len(f))
+        tail = [
+            sum_of_products(
+                (1, f[j], powers[j - 1].coeffs[m]) for j in range(w, min(m // v, top) + 1)
+            )
+            for m in range(low, len(f))
         ]
-        return TruncatedSeries(self.order, out)
+        return TruncatedSeries(self.order, [f[0]] + [ZERO] * (low - 1) + tail)
 
     def egf_coeff(self, n: int) -> MultiPoly:
         """n-th exponential generating coefficient, ``n! * c_n``."""

@@ -392,6 +392,33 @@ def test_identity_choices_come_from_verify():
     assert tuple(identity.choices) == verify.IDENTITY_CHOICES
 
 
+def test_one_parser_serves_consecutive_in_process_calls(capsys, monkeypatch):
+    # argparse wraps usage text to the terminal width; fix it for both runs
+    monkeypatch.setenv("COLUMNS", "80")
+    from degenpoly import cli
+
+    runs = [
+        ("compute", "--family", "genocchi", "--n-max", "-1"),
+        ("compute", "--family", "genocchi-r", "--r", "2", "--n-max", "3", "--lambda", "2/4"),
+        ("--version",),
+        ("verify", "--identity", "thm1", "--ks", "1,2", "--n-max", "3", "--format", "json"),
+        ("bogus",),
+    ]
+    cli.build_parser.cache_clear()
+    codes = []
+    for args in runs:
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = run_cli(*args)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), args
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 2]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_verify_vanishing_from_cli():
     proc = run_cli("verify", "--identity", "vanishing", "--ks", "1,2", "--n-max", "4")
     assert proc.returncode == 0

@@ -99,6 +99,7 @@ def run_main(capsys, argv):
 
 
 COMPUTE = ["compute", "--family"]
+JSON = ["--format", "json"]
 
 
 @pytest.mark.parametrize(
@@ -134,7 +135,6 @@ def test_underscores_and_non_ascii_digits_exit_2(capsys, argv, message):
             COMPUTE + ["multi-poly-genocchi", "--ks=-1,+2", "--n-max", "4"],
             COMPUTE + ["multi-poly-genocchi", "--ks=-1,2", "--n-max", "4"],
         ),
-        # text and CSV print no meta, which echoes --r and --lambda as typed
         (
             ["verify", "--identity", "thm1", "--r", " 1 - 2 ", "--n-max", "4"],
             ["verify", "--identity", "thm1", "--r", "1-2", "--n-max", "4"],
@@ -142,6 +142,31 @@ def test_underscores_and_non_ascii_digits_exit_2(capsys, argv, message):
         (
             COMPUTE + ["genocchi", "--lambda", "2/4", "--n-max", "4", "--format", "csv"],
             COMPUTE + ["genocchi", "--lambda", "1/2", "--n-max", "4", "--format", "csv"],
+        ),
+        # JSON meta and params print the parsed numbers, not the flag text
+        (
+            ["verify", "--identity", "thm1", "--r", " 1 - 2 ", "--n-max", "4", *JSON],
+            ["verify", "--identity", "thm1", "--r", "1-2", "--n-max", "4", *JSON],
+        ),
+        (
+            ["verify", "--identity", "eq15", "--r", "+2", "--n-max", "3", *JSON],
+            ["verify", "--identity", "eq15", "--r", "2", "--n-max", "3", *JSON],
+        ),
+        (
+            ["verify", "--identity", "thm1", "--ks", " 1, +2", "--r", "2 -2", *JSON],
+            ["verify", "--identity", "thm1", "--ks", "1,2", "--r", "2", *JSON],
+        ),
+        (
+            COMPUTE + ["genocchi", "--lambda", "2/4", "--arg=-04/6", "--n-max", "4", *JSON],
+            COMPUTE + ["genocchi", "--lambda", "1/2", "--arg=-2/3", "--n-max", "4", *JSON],
+        ),
+        (
+            COMPUTE + ["euler-r", "--r", "2", "--lambda=+3", "--arg=-0", "--n-max", "3", *JSON],
+            COMPUTE + ["euler-r", "--r", "2", "--lambda", "3", "--arg", "0", "--n-max", "3", *JSON],
+        ),
+        (
+            COMPUTE + ["multi-polyexp", "--ks", "2", "--lambda=-6/3", "--n-max", "3", *JSON],
+            COMPUTE + ["multi-polyexp", "--ks", "2", "--lambda=-2", "--n-max", "3", *JSON],
         ),
     ],
 )

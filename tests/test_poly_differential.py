@@ -90,6 +90,37 @@ def test_scalar_mixing(t, c):
     assert (p == c) == (r == c)
 
 
+# 0, +-1, small negatives, the denominators' factors and their multiples,
+# and integers far past a machine word
+INT_SCALES = st.one_of(
+    st.sampled_from((0, 1, -1, -2, 2, 6, -12, 60, 720, -5040, 2**64, 3**130)),
+    st.integers(-40, 40),
+    st.integers(2**200, 2**210),
+    st.integers(-(2**210), -(2**200)),
+    st.builds(lambda d, m: d * m, st.sampled_from((2, 3, 4, 6, 8, 12)), st.integers(-50, 50)),
+)
+
+
+@given(TERMS, INT_SCALES)
+def test_integer_scale(t, c):
+    p, r = both(t)
+    assert_same(p * c, r * c)
+    assert_same(c * p, c * r)
+    assert p * c == c * p == p * Fraction(c) == sum_of_products([(c, p, MultiPoly.const(1))])
+    if c == 0 or not p:
+        assert ((p * c).num, (p * c).den) == ({}, 1)
+
+
+@given(INT_SCALES)
+def test_integer_scale_of_a_denominator_factor(c):
+    # den 12 against c: the result's den is 12 // gcd(12, c), whatever is left of it
+    t = {(1, 0, 0): Fraction(1, 12), (0, 1, 0): Fraction(5, 6), (0, 0, 0): Fraction(-7, 4)}
+    p, r = both(t)
+    assert_same(p * c, r * c)
+    if c:
+        assert (p * c).den == 12 // math.gcd(12, c)
+
+
 @given(TERMS)
 def test_scalar_zero(t):
     p, r = both(t)

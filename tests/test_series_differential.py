@@ -9,7 +9,12 @@ powers itself or is handed them.  A series times itself takes each cross
 product once; it must equal the general product with an equal series that
 is another object, and the Cauchy sum over ``tests/fraction_poly.py``.
 ``powers`` squares for its even powers and must equal running products.
+Products start at their operands' valuations: they must still equal the
+Cauchy sum over every index pair, and make no kernel call and build no
+triple for a coefficient or factor known to be zero by its place.
 """
+
+import contextlib
 
 import pytest
 
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 
 import fraction_poly as ref
 from horner_compose import compose as horner_compose
+from degenpoly import series as series_mod
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
 
@@ -75,16 +81,45 @@ def test_compose_with_zero_inner_is_the_constant_term(outer):
     assert zero.compose(outer - outer.coeffs[0]) == zero
 
 
-@given(ORDERS.flatmap(series))
+VALUATIONS = st.integers(0, 12)  # past the order too: an all-zero series
+
+
+@st.composite
+def operand_pair(draw):
+    """Two series of one order, each zero below its own drawn valuation."""
+    order = draw(ORDERS)
+    return draw(series(order, draw(VALUATIONS))), draw(series(order, draw(VALUATIONS)))
+
+
+def first_nonzero(s):
+    return next((i for i, c in enumerate(s.coeffs) if c), s.order + 1)
+
+
+def cauchy(a, b):
+    """``[t^m] a b`` for m up to the order, over every index pair, in the Fraction oracle."""
+    a = [ref.MultiPoly(c.terms) for c in a.coeffs]
+    b = [ref.MultiPoly(c.terms) for c in b.coeffs]
+    out = []
+    for m in range(len(a)):
+        coeff = ref.MultiPoly()
+        for i in range(m + 1):
+            coeff = coeff + a[i] * b[m - i]
+        out.append(coeff)
+    return out
+
+
+def assert_matches(product, expected):
+    assert [c.terms for c in product.coeffs] == [c.terms for c in expected]
+
+
+SERIES = st.tuples(ORDERS, VALUATIONS).flatmap(lambda args: series(*args))
+
+
+@given(SERIES)
 def test_square_matches_the_general_product_and_the_fraction_oracle(s):
     square = s * s
     assert square == s * TruncatedSeries(s.order, list(s.coeffs))
-    a = [ref.MultiPoly(c.terms) for c in s.coeffs]
-    for m, coeff in enumerate(square.coeffs):
-        expected = ref.MultiPoly()
-        for i in range(m + 1):
-            expected = expected + a[i] * a[m - i]
-        assert coeff.terms == expected.terms, m
+    assert_matches(square, cauchy(s, s))
 
 
 @given(st.tuples(ORDERS, st.integers(0, 2)).flatmap(lambda args: series(*args)), st.integers(0, 9))
@@ -95,6 +130,70 @@ def test_powers_match_running_products(s, count):
     for j, power in enumerate(powers, 1):
         assert power == running, j
         running = running * s
+
+
+@given(operand_pair())
+def test_products_from_the_valuations_match_the_cauchy_sum(pair):
+    a, b = pair
+    assert_matches(a * b, cauchy(a, b))
+    assert_matches(b * a, cauchy(b, a))
+
+
+@given(SERIES, st.integers(0, 6))
+def test_powers_from_the_valuations_match_the_cauchy_sum(s, count):
+    expected = [ref.MultiPoly(c.terms) for c in s.coeffs]
+    for power in s.powers(count):
+        assert_matches(power, expected)
+        expected = cauchy(TruncatedSeries(s.order, [MultiPoly(c.terms) for c in expected]), s)
+
+
+@contextlib.contextmanager
+def kernel_calls():
+    """A list that gets the triples of every ``sum_of_products`` call in ``series``."""
+    calls = []
+    original = series_mod.sum_of_products
+
+    def spy(terms):
+        terms = list(terms)
+        calls.append(terms)
+        return original(terms)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_mod, "sum_of_products", spy)
+        yield calls
+
+
+@given(operand_pair())
+def test_no_kernel_call_or_triple_below_the_valuations(pair):
+    a, b = pair
+    va, vb = first_nonzero(a), first_nonzero(b)
+    with kernel_calls() as calls:
+        a * b
+        # one call per coefficient from t^(va+vb) up, over the pairs i >= va, m - i >= vb
+        assert [len(triples) for triples in calls] == [
+            m - va - vb + 1 for m in range(va + vb, a.order + 1)
+        ]
+        calls.clear()
+        a * a
+        assert [len(triples) for triples in calls] == [
+            m // 2 - va + 1 for m in range(2 * va, a.order + 1)
+        ]
+
+
+@given(outer_inner(valuations=st.integers(1, 4)))
+def test_compose_makes_no_kernel_call_below_the_valuations(pair):
+    outer, inner = pair
+    powers = inner.powers(outer.order)
+    v = first_nonzero(inner)
+    w = first_nonzero(outer - outer.coeffs[0])
+    top = max((j for j in range(1, outer.order + 1) if outer.coeffs[j]), default=0)
+    with kernel_calls() as calls:
+        composed = outer.compose(inner, powers)
+    assert composed == horner_compose(outer, inner)
+    # f_j g^j reaches t^m only for w <= j <= m / v
+    assert [len(triples) for triples in calls] == [
+        min(m // v, top) - w + 1 for m in range(w * v, outer.order + 1)
+    ]
 
 
 def test_compose_errors():

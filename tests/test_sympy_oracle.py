@@ -116,6 +116,18 @@ def test_multipoly_ring_operations_match_sympy(i, j):
     assert to_qq_poly(p - q) == to_qq_poly(p) - to_qq_poly(q)
 
 
+BIG_SCALES = [0, 1, -1, -3, 4, 42, 5040, -(2**61 - 1) * 12, 3**200, -(7**90)]
+
+
+@pytest.mark.parametrize("c", BIG_SCALES, ids=[f"c{i}" for i in range(len(BIG_SCALES))])
+@pytest.mark.parametrize("i", range(len(CORE_POLYS)))
+def test_integer_scale_matches_sympy(i, c):
+    p = CORE_POLYS[i]
+    expected = to_qq_poly(p) * c
+    assert to_qq_poly(p * c) == expected
+    assert to_qq_poly(c * p) == expected
+
+
 @pytest.mark.parametrize("weights", [(1, 1, 1), (3, -2, 5), (0, -1, 12), (-4, 0, 0)])
 def test_sum_of_products_matches_sympy(weights):
     n = len(CORE_POLYS)
