@@ -243,27 +243,23 @@ def _json_text(obj, indent: str, rendered: dict) -> str:
     return "[\n" + inner + items + "\n" + indent + "]"
 
 
-def _poly_record(
-    family_id: str, params: dict, n: int, value: MultiPoly, k: int | None, with_value: bool
-) -> dict:
-    """One table row; ``with_value`` adds the rendered ``value`` that only JSON prints."""
+def _poly_record(family_id: str, params: dict, n: int, k: int | None, texts: list) -> dict:
+    """One JSON table record of the row ``(n, k, texts)``."""
     record: dict = {"family_id": family_id, "params": params, "n": n}
     if k is not None:
         record["k"] = k
-    texts = term_texts(value)
-    if with_value:
-        record["value"] = render_terms(texts)
+    record["value"] = render_terms(texts)
     record["value_terms"] = texts
     return record
 
 
-def _render_csv(records: list[dict]) -> str:
-    has_k = any("k" in record for record in records)
+def _render_csv(rows: list[tuple[int, int | None, list]]) -> str:
+    """CSV of ``(n, k, term_texts(value))`` rows, with a ``k`` column when rows carry one."""
+    has_k = any(k is not None for _, k, _ in rows)
     lines = ["n,k,monomial,coeff" if has_k else "n,monomial,coeff"]
-    for record in records:
-        prefix = f"{record['n']},{record['k']}" if has_k else str(record["n"])
-        terms = record["value_terms"] or [["1", "0"]]
-        for monomial, coeff in terms:
+    for n, k, texts in rows:
+        prefix = f"{n},{k}" if has_k else str(n)
+        for monomial, coeff in texts or [("1", "0")]:
             lines.append(f"{prefix},{monomial},{coeff}")
     return "\n".join(lines) + "\n"
 
@@ -324,18 +320,30 @@ def cmd_compute(args) -> int:
     }
     given = {"arg": argument, "r": args.r, "k": ks and ks[0], "ks": ks}
     built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max, lam=lam)
-    with_value = args.format == "json"
-    records = [
-        _poly_record(family_id, params, n, value, k, with_value)
-        for n, k, value in _entries(built, args.n_max)
-    ]
+    rows = [(n, k, term_texts(value)) for n, k, value in _entries(built, args.n_max)]
 
     if args.format == "json":
+        records = [_poly_record(family_id, params, n, k, texts) for n, k, texts in rows]
         text = _render_json({"meta": meta, "records": records})
     else:
-        text = _render_csv(records)
+        text = _render_csv(rows)
     _write_text(text, args.out)
     return 0
+
+
+def _report_json(report: verify_mod.VerifyReport) -> dict:
+    """One report as JSON prints it: ``vacuous`` only when true, sides only on a failed cell."""
+    cells = []
+    for cell in report.cells:
+        sides = {} if cell.passed else {"lhs": cell.lhs, "rhs": cell.rhs}
+        cells.append({"params": dict(cell.params), "passed": cell.passed, **sides})
+    return {
+        "identity_id": report.identity_id,
+        "params": dict(report.params),
+        "passed": report.passed,
+        **({"vacuous": True} if report.vacuous else {}),
+        "cells": cells,
+    }
 
 
 def _render_report_text(reports: list[verify_mod.VerifyReport], passed: bool) -> str:
@@ -408,7 +416,7 @@ def cmd_verify(args) -> int:
         payload = {
             "meta": meta,
             "passed": passed,
-            "reports": [report.to_dict() for report in reports],
+            "reports": [_report_json(report) for report in reports],
         }
         text = _render_json(payload)
     else:

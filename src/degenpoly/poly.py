@@ -9,9 +9,10 @@ product multiplies integers and denominators, a sum works over the lcm of
 the two denominators, and each result is reduced by one multi-argument gcd,
 so no per-coefficient :class:`fractions.Fraction` arithmetic is paid.
 :func:`sum_of_products` reduces a whole ``sum c * p * q`` once, not per addend,
-and ``p * q`` is its one-term case.  An integer scale ``p * c`` needs no
-reduction pass: ``gcd(den, *num) == 1`` makes ``gcd(den, c)`` the whole
-common factor, so the result is ``num * (c // g)`` over ``den // g``.
+and ``p * q`` is its one-term case.  A product with a zero factor, integer
+or polynomial, is ``ZERO`` with no kernel call.  An integer scale ``p * c``
+needs no reduction pass: ``gcd(den, *num) == 1`` makes ``gcd(den, c)`` the
+whole common factor, so the result is ``num * (c // g)`` over ``den // g``.
 :attr:`MultiPoly.terms` gives the coefficients as reduced ``Fraction`` values.
 
 Monomial keys.  The monomial ``lambda^a * x^b * y^c`` is the one int
@@ -210,6 +211,8 @@ class MultiPoly:
             return _canonical(num, self.den * other.denominator)
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        if not self.num or not other.num:
+            return ZERO
         return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__

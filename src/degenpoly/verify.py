@@ -58,12 +58,6 @@ from .series import TruncatedSeries
 ParamItems = tuple[tuple[str, object], ...]
 
 
-def _json_value(value):
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class VerifyCell:
     """One checked instance of an identity; sides are kept only on failure."""
@@ -72,13 +66,6 @@ class VerifyCell:
     passed: bool
     lhs: str | None = None
     rhs: str | None = None
-
-    def to_dict(self) -> dict:
-        d: dict = {"params": {k: _json_value(v) for k, v in self.params}, "passed": self.passed}
-        if not self.passed:
-            d["lhs"] = self.lhs
-            d["rhs"] = self.rhs
-        return d
 
 
 @dataclass(frozen=True)
@@ -95,17 +82,6 @@ class VerifyReport:
     def vacuous(self) -> bool:
         """True when the report checked nothing (it still counts as passed)."""
         return not self.cells
-
-    def to_dict(self) -> dict:
-        d: dict = {
-            "identity_id": self.identity_id,
-            "params": {k: _json_value(v) for k, v in self.params},
-            "passed": self.passed,
-        }
-        if self.vacuous:
-            d["vacuous"] = True
-        d["cells"] = [cell.to_dict() for cell in self.cells]
-        return d
 
 
 def _cell(params: ParamItems, lhs: MultiPoly, rhs: MultiPoly) -> VerifyCell:
@@ -132,11 +108,14 @@ def _binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int
     return sum_of_products((math.comb(n, l), a[l], b[n - l]) for l in ls)
 
 
-def _truncate(table: PolyFamily | StirlingTable, n_max: int) -> PolyFamily | StirlingTable:
-    """The same table cut down to ``n_max``."""
-    if isinstance(table, StirlingTable):
-        return StirlingTable(n_max, table.entries[: n_max + 1])
-    return PolyFamily(table.values[: n_max + 1])
+def _truncate(family: PolyFamily, n_max: int) -> PolyFamily:
+    """The same family cut down to ``n_max``."""
+    return PolyFamily(family.values[: n_max + 1])
+
+
+def _truncate_stirling(table: StirlingTable, n_max: int) -> StirlingTable:
+    """The same Stirling triangle cut down to ``n_max``."""
+    return StirlingTable(n_max, table.entries[: n_max + 1])
 
 
 def _head(seq: Sequence, n_max: int) -> Sequence:
@@ -178,25 +157,23 @@ class FamilyMemo:
         self.corrupt = corrupt
         self._store = families.SubSeriesStore()
 
-    def _family(self, builder: Callable, params: tuple, argument, n_max: int):
+    def _family(self, builder: Callable, params: tuple, argument, n_max: int) -> PolyFamily:
         """``builder(*params, argument, n_max)``, built once per builder and params.
 
         The key holds the builder, so families that coincide mathematically
         (``poly_genocchi(k)`` and ``multi_poly_genocchi((k,))``) stay separate
-        entries and can be checked against each other.  ``argument=None``
-        means the builder takes none.
+        entries and can be checked against each other.
         """
-        if argument is not None:
-            params = (*params, families._norm_argument(argument))
-        value = self._store.get((builder, params), n_max, partial(builder, *params), _truncate)
-        if self.corrupt and builder is families.multi_poly_genocchi_deg and params[-1] == "x":
-            values = list(value.values)
-            values[-1] = values[-1] + 1
-            value = PolyFamily(tuple(values))
-        return value
+        params = (*params, families._norm_argument(argument))
+        return self._store.get((builder, params), n_max, partial(builder, *params), _truncate)
 
     def multi_poly_genocchi(self, ks, argument, n_max: int) -> PolyFamily:
-        return self._family(families.multi_poly_genocchi_deg, (index_tuple(ks),), argument, n_max)
+        fam = self._family(families.multi_poly_genocchi_deg, (index_tuple(ks),), argument, n_max)
+        if self.corrupt and argument == "x":
+            values = list(fam.values)
+            values[-1] = values[-1] + 1
+            fam = PolyFamily(tuple(values))
+        return fam
 
     def poly_genocchi(self, k: int, argument, n_max: int) -> PolyFamily:
         return self._family(families.poly_genocchi_deg, (k,), argument, n_max)
@@ -211,7 +188,10 @@ class FamilyMemo:
         return self._family(families.euler_deg_order, (r,), argument, n_max)
 
     def stirling(self, n_max: int) -> StirlingTable:
-        return self._family(stirling1_deg_recurrence, (), None, n_max)
+        """The Stirling triangle, stored under its builder like a family; looked up at each call."""
+        return self._store.get(
+            (stirling1_deg_recurrence, ()), n_max, stirling1_deg_recurrence, _truncate_stirling
+        )
 
     def falling_factorials(self, base: str, n_max: int) -> list[MultiPoly]:
         """``(base)_{m,lambda}`` for m = 0..n_max, one :func:`deg_falling_factorials` per base.

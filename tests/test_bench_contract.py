@@ -1,74 +1,52 @@
 """Names the benchmark reaches into, so a refactor cannot break it silently.
 
-``bench/tracing.py`` wraps these methods through the class ``__dict__`` and
-the module functions by name (``getattr`` on their module), then rebinds each
-function wherever the package holds it by identity; ``bench/run.py`` reads
-coefficients through ``MultiPoly.terms`` as ``Fraction`` values to count
-coefficient growth.
+The names come from ``bench/tracing.py`` itself, loaded by path: its
+``_targets()`` lists every ``(span, owner, attribute)`` it wraps.  It wraps
+methods through the class ``__dict__`` and module functions by name
+(``getattr`` on their module), then rebinds each function wherever the
+package holds it by identity.  ``bench/run.py`` reads coefficients through
+``MultiPoly.terms`` as ``Fraction`` values to count coefficient growth.
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
+from types import ModuleType
 
-from degenpoly import cli, degen, families, poly, verify
-from degenpoly.poly import LAM, X, MultiPoly
-from degenpoly.series import TruncatedSeries
-from degenpoly.verify import FamilyMemo
+# importing cli loads every degenpoly module, where tracing looks its owners up
+from degenpoly import cli, families  # noqa: F401
+from degenpoly.poly import LAM, X
 
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
 
-def test_traced_multipoly_methods_are_in_the_class_dict():
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "substitute"):
-        assert callable(MultiPoly.__dict__.get(name)), name
-    assert callable(poly.render_poly)
-
-
-def test_traced_series_methods_are_in_the_class_dict():
-    for name in ("__mul__", "__rmul__", "__pow__", "invert", "compose"):
-        assert callable(TruncatedSeries.__dict__.get(name)), name
-
-
-def test_traced_memo_methods_are_in_the_class_dict():
-    for name in (
-        "multi_poly_genocchi",
-        "poly_genocchi",
-        "genocchi",
-        "genocchi_order",
-        "euler_order",
-        "stirling",
-    ):
-        assert callable(FamilyMemo.__dict__.get(name)), name
+TARGETS = tracing._targets()
+METHODS = [target for target in TARGETS if isinstance(target[1], type)]
+FUNCTIONS = [target for target in TARGETS if isinstance(target[1], ModuleType)]
 
 
-def test_traced_family_builders_are_five_distinct_functions():
-    names = (
-        "genocchi_deg",
-        "genocchi_deg_order",
-        "euler_deg_order",
-        "poly_genocchi_deg",
-        "multi_poly_genocchi_deg",
-    )
-    builders = [getattr(families, name) for name in names]
-    assert all(callable(fn) for fn in builders)
-    # tracing wraps by identity, so an alias would be wrapped twice
-    assert len({id(fn) for fn in builders}) == len(names)
+def test_traced_class_methods_are_in_the_class_dict():
+    # every owner is a class or a module, so the two tests cover every target
+    assert METHODS and len(METHODS) + len(FUNCTIONS) == len(TARGETS)
+    for span, owner, attr in METHODS:
+        assert callable(owner.__dict__.get(attr)), (span, owner.__name__, attr)
 
 
 def test_traced_module_functions_exist():
-    for name in ("deg_log", "deg_exp", "deg_multi_polyexp", "stirling1_deg_recurrence"):
-        assert callable(getattr(degen, name)), name
-    checkers = (
-        "check_theorem1",
-        "check_corollary2",
-        "check_theorem3",
-        "check_prop4",
-        "check_eq15",
-        "check_vanishing",
-        "check_eq19",
-        "check_reduction",
-        "check_basics",
-    )
-    for name in ("_chain_factors",) + checkers:
-        assert callable(getattr(verify, name)), name
-    assert callable(cli.main)
+    assert FUNCTIONS
+    for span, owner, attr in FUNCTIONS:
+        assert callable(getattr(owner, attr, None)), (span, owner.__name__, attr)
+
+
+def test_traced_family_builders_are_five_distinct_functions():
+    builders = [getattr(families, name) for name in tracing.FAMILY_BUILDERS]
+    assert len(builders) == 5
+    assert all(callable(fn) for fn in builders)
+    # tracing wraps by identity, so an alias would be wrapped twice
+    assert len({id(fn) for fn in builders}) == len(builders)
 
 
 def test_terms_are_fractions():

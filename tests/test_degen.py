@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from degenpoly import poly
 from degenpoly.degen import (
     StirlingTable,
     classical_falling_factorial,
@@ -234,3 +235,29 @@ def test_deg_multi_polyexp_validation():
         deg_multi_polyexp((), 5)
     with pytest.raises(ValueError):
         deg_multi_polyexp((1,), -1)
+
+
+@pytest.mark.parametrize("lam", [LAM, MultiPoly.const(Fraction(1, 2))], ids=str)
+def test_builders_make_no_kernel_call_without_a_live_triple(lam, monkeypatch):
+    # a product with a zero factor is ZERO before the kernel: at lambda = 1/2
+    # (1)_{n,lambda} vanishes from n = 3 on, and each DP level after the
+    # first starts with a zero running sum
+    calls, empty = [0], []
+    kernel = poly.sum_of_products
+
+    def spy(terms):
+        terms = list(terms)
+        calls[0] += 1
+        if not any(c and p.num and q.num for c, p, q in terms):
+            empty.append(terms)
+        return kernel(terms)
+
+    monkeypatch.setattr(poly, "sum_of_products", spy)
+    ones = deg_falling_factorials(1, 12, lam=lam)
+    deg_falling_factorials("x", 12, lam=lam)
+    for k in (-1, 0, 2):
+        deg_polyexp(k, 12, lam=lam)
+    for ks in ((1,), (1, 2), (2, -1, 1)):
+        deg_multi_polyexp(ks, 12, lam=lam)
+    assert (ones[3] == ZERO) == (lam != LAM)
+    assert calls[0] and not empty

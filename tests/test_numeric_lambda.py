@@ -84,4 +84,5 @@ def test_compute_at_lambda_renders_the_substituted_symbolic_table(family, capsys
             record["value"] = render_terms(texts)
             record["value_terms"] = [list(pair) for pair in texts]
         assert _compute(capsys, family, lam, "json") == json.dumps(payload, indent=2) + "\n"
-        assert _compute(capsys, family, lam, "csv") == cli._render_csv(payload["records"])
+        rows = [(r["n"], r.get("k"), r["value_terms"]) for r in payload["records"]]
+        assert _compute(capsys, family, lam, "csv") == cli._render_csv(rows)

@@ -15,7 +15,9 @@ checked against ``sympy.Poly`` over ``QQ[lambda, x, y]`` on a fixed set of
 trivariate polynomials.
 """
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ sympy = pytest.importorskip("sympy")
 from degenpoly import families
 from degenpoly.degen import deg_log, deg_polyexp
 from degenpoly.poly import MultiPoly, parse_poly, sum_of_products
+from degenpoly.verify import FamilyMemo, default_k_lists
 
 N = 8
 LAM, T, X, Y = sympy.symbols("lambda t x y")
@@ -161,6 +164,7 @@ def test_polyexp_of_log_matches_sympy(k):
 FAMILY_N = 6
 
 
+@functools.cache
 def multi_numerator(ks):
     """``2^r Ei_{(k_1..k_r),lambda}(log_lambda(1+t))`` up to ``t^FAMILY_N``."""
     return of_log(multi_polyexp_coeffs(ks, FAMILY_N), FAMILY_N) * 2 ** len(ks)
@@ -176,6 +180,12 @@ FAMILY_CASES = [
     ("poly_genocchi_deg", (2,), 1, lambda: multi_numerator((2,))),
     ("multi_poly_genocchi_deg", ((1, 2),), 2, lambda: multi_numerator((1, 2))),
     ("multi_poly_genocchi_deg", ((-1, 1, 2),), 3, lambda: multi_numerator((-1, 1, 2))),
+]
+# and the multi-poly-Genocchi family of every other k-list the sweep checks
+FAMILY_CASES += [
+    ("multi_poly_genocchi_deg", (ks,), len(ks), functools.partial(multi_numerator, ks))
+    for ks in default_k_lists()
+    if ks not in ((1, 2), (-1, 1, 2))
 ]
 
 
@@ -194,6 +204,17 @@ def test_family_egf_matches_the_paper_generating_function(builder, params, r, nu
     for m in range(FAMILY_N + 1):
         diff = lhs.coeff_monomial(T**m) - rhs.coeff_monomial(T**m)
         assert sympy.expand(diff) == 0, m
+
+
+@pytest.mark.parametrize("ks", default_k_lists(), ids=lambda ks: str(ks).replace(" ", ""))
+def test_chain_factors_are_the_composed_multi_polyexponential(ks):
+    # A_m = m! [t^m] Ei_{ks,lambda}(log_lambda(1+t)), the numerator without its 2^r
+    factors = FamilyMemo().chain_factors(ks, FAMILY_N)
+    assert len(factors) == FAMILY_N + 1
+    composed = multi_numerator(ks)
+    for m, factor in enumerate(factors):
+        expected = composed.coeff_monomial(T**m) * math.factorial(m) / 2 ** len(ks)
+        assert sympy.expand(to_sympy(factor) - expected) == 0, m
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-2)])

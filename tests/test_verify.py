@@ -1,12 +1,13 @@
 """Identity checkers: pass on clean families, fail loudly on corrupted ones."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from fraction_chain_factors import chain_factors as fraction_chain_factors
-from degenpoly import families
+from degenpoly import cli, families
 from degenpoly.degen import deg_multi_polyexp, stirling1_deg_recurrence
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.verify import (
@@ -129,7 +130,7 @@ def test_corrupt_failure_carries_both_sides():
     assert cell.params == (("n", 4),)
     assert cell.lhs is not None and cell.rhs is not None
     assert cell.lhs != cell.rhs
-    d = cell.to_dict()
+    d = cli._report_json(report)["cells"][report.cells.index(cell)]
     assert d["passed"] is False and "lhs" in d and "rhs" in d
 
 
@@ -137,12 +138,12 @@ def test_passing_cell_omits_sides():
     report = check_vanishing((1,), 3)
     cell = report.cells[0]
     assert cell.passed and cell.lhs is None and cell.rhs is None
-    assert "lhs" not in cell.to_dict()
+    assert "lhs" not in cli._report_json(report)["cells"][0]
 
 
 def test_report_to_dict_shape():
     report = check_theorem1((1, 2), 4, FamilyMemo())
-    d = report.to_dict()
+    d = json.loads(cli._render_json(cli._report_json(report)))
     assert d["identity_id"] == "Thm1"
     assert d["params"] == {"ks": [1, 2], "n_max": 4}
     assert d["passed"] is True
