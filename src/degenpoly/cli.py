@@ -264,10 +264,10 @@ def _render_csv(rows: list[tuple[int, int | None, list]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entries(built, n_max: int):
+def _entries(built):
     """(n, k, value) for a family, a series, or (with k) the Stirling triangle."""
     if isinstance(built, StirlingTable):
-        return [(n, k, built.value(n, k)) for n in range(n_max + 1) for k in range(n + 1)]
+        return [(n, k, value) for n, row in enumerate(built.entries) for k, value in enumerate(row)]
     values = built.values if isinstance(built, families.PolyFamily) else built.coeffs
     return [(n, None, value) for n, value in enumerate(values)]
 
@@ -320,7 +320,7 @@ def cmd_compute(args) -> int:
     }
     given = {"arg": argument, "r": args.r, "k": ks and ks[0], "ks": ks}
     built = getattr(module, builder)(*(given[name] for name in inputs), args.n_max, lam=lam)
-    rows = [(n, k, term_texts(value)) for n, k, value in _entries(built, args.n_max)]
+    rows = [(n, k, term_texts(value)) for n, k, value in _entries(built)]
 
     if args.format == "json":
         records = [_poly_record(family_id, params, n, k, texts) for n, k, texts in rows]

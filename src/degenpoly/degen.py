@@ -112,15 +112,19 @@ class StirlingTable:
     as polynomials in lambda.
     """
 
-    n_max: int
     entries: tuple[tuple[MultiPoly, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.n_max + 1:
-            raise ValueError(f"expected {self.n_max + 1} rows, got {len(self.entries)}")
+        if not self.entries:
+            raise ValueError("a Stirling table needs at least one row")
         for n, row in enumerate(self.entries):
             if len(row) != n + 1:
                 raise ValueError(f"expected {n + 1} entries in row {n}, got {len(row)}")
+
+    @property
+    def n_max(self) -> int:
+        """The last row's n."""
+        return len(self.entries) - 1
 
     def value(self, n: int, k: int) -> MultiPoly:
         if not 0 <= n <= self.n_max or k < 0:
@@ -143,7 +147,7 @@ def stirling1_deg_recurrence(n_max: int, *, lam: MultiPoly = LAM) -> StirlingTab
             for k in range(n + 2)
         )
         rows.append(tuple(row))
-    return StirlingTable(n_max, tuple(rows))
+    return StirlingTable(tuple(rows))
 
 
 def polyexp_modified(k: int, order: int) -> TruncatedSeries:

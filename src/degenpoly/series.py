@@ -129,7 +129,7 @@ class TruncatedSeries:
     def __pow__(self, r: int) -> "TruncatedSeries":
         """``self^r`` by repeated squaring, each squaring a square of a series."""
         if r < 0:
-            raise ValueError("negative series power; use invert() first")
+            raise ValueError("negative series power")
         if r == 0:
             return TruncatedSeries.constant(1, self.order)
         return power_by_squaring(self, r)

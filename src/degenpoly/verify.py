@@ -115,7 +115,7 @@ def _truncate(family: PolyFamily, n_max: int) -> PolyFamily:
 
 def _truncate_stirling(table: StirlingTable, n_max: int) -> StirlingTable:
     """The same Stirling triangle cut down to ``n_max``."""
-    return StirlingTable(n_max, table.entries[: n_max + 1])
+    return StirlingTable(table.entries[: n_max + 1])
 
 
 def _head(seq: Sequence, n_max: int) -> Sequence:
@@ -270,15 +270,15 @@ def _chain_factors(
     ]
 
 
-def _convolution_cells(lhs, a, b, n_lo: int, n_max: int) -> list[VerifyCell]:
-    """One cell per n = n_lo..n_max: ``lhs[n]`` against ``sum_l C(n,l) a[l] b[n-l]``.
+def _convolution_cells(lhs, a, b, n_lo: int) -> list[VerifyCell]:
+    """``lhs[n]`` against ``sum_l C(n,l) a[l] b[n-l]``, one cell per n from n_lo to the end of lhs.
 
     Thm1, Cor2, Thm3, Prop4 and Eq15 all have this shape; each checker
     builds its ``lhs``, ``a`` and ``b`` along routes of its own.
     """
     return [
         _cell((("n", n),), lhs[n], _binomial_convolution(a, b, n))
-        for n in range(n_lo, n_max + 1)
+        for n in range(n_lo, len(lhs))
     ]
 
 
@@ -298,7 +298,7 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
             cells.append(_cell((("clause", "vanishing"), ("n", n)), fam.values[n], ZERO))
     if n_max >= r:
         euler = memo.euler_order(r, "x", n_max).values
-        cells += _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r, n_max)
+        cells += _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r)
     return VerifyReport("Thm1", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -307,6 +307,8 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
     ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     r = len(ks)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if n_max < r:
         return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), ())
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
@@ -318,7 +320,7 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
         gen_r.values[l + r] * Fraction(1, r_fact * math.comb(l + r, l))
         for l in range(n_max - r + 1)
     ]
-    cells = _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r, n_max)
+    cells = _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r)
     return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -327,6 +329,8 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
     ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     r = len(ks)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if n_max < r:
         return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), ())
     fam = memo.multi_poly_genocchi(ks, Fraction(r), n_max)
@@ -338,7 +342,7 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
         numbers = memo.euler_order(l, Fraction(0), n_max)
         for m in range(n_max + 1):
             euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
-    cells = _convolution_cells(fam.values, euler_mix, memo.chain_factors(ks, n_max), r, n_max)
+    cells = _convolution_cells(fam.values, euler_mix, memo.chain_factors(ks, n_max), r)
     return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -349,7 +353,7 @@ def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     fall_y = memo.falling_factorials("y", n_max)
-    cells = _convolution_cells(fam_xy.values, fam_x.values, fall_y, 0, n_max)
+    cells = _convolution_cells(fam_xy.values, fam_x.values, fall_y, 0)
     return VerifyReport("Prop4", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -360,7 +364,7 @@ def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
     fall_x = memo.falling_factorials("x", n_max)
-    cells = _convolution_cells(fam_x.values, numbers.values, fall_x, 0, n_max)
+    cells = _convolution_cells(fam_x.values, numbers.values, fall_x, 0)
     return VerifyReport("Eq15", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -374,7 +378,11 @@ def check_vanishing(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRep
     return VerifyReport("Vanishing", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
-def check_eq19(n_max: int, r_max: int = 3, memo: FamilyMemo | None = None) -> VerifyReport:
+# the largest r of Eq19 in the full sweep
+EQ19_R_MAX = 3
+
+
+def check_eq19(n_max: int, r_max: int = EQ19_R_MAX, memo: FamilyMemo | None = None) -> VerifyReport:
     """Order-r Euler against order-r Genocchi: r! C(n+r,n) E^(r)_n = G^(r)_{n+r}."""
     memo = memo or FamilyMemo()
     cells = []
@@ -429,44 +437,32 @@ def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyRepor
     """Base-case reports: Eq05, InverseLogExp and LambdaZeroClassical."""
     memo = memo or FamilyMemo()
     reports = []
+    e_lam = deg_exp(1, n_max)
+    e_lam_m1 = e_lam - 1
+    polyexp = {k: deg_polyexp(k, n_max) for k in (-1, 0, 1, 2)}
+    log_series = deg_log(n_max)
+    t = TruncatedSeries.t(n_max)
 
     exp_m1 = [ZERO] + [MultiPoly.const(Fraction(1, math.factorial(n))) for n in range(1, n_max + 1)]
     cells = _rows((("case", "Ei_1 = exp - 1"),), polyexp_modified(1, n_max).coeffs, exp_m1)
-    cells += _rows(
-        (("case", "Ei_{1,lambda} = e_lambda - 1"),),
-        deg_polyexp(1, n_max).coeffs,
-        (deg_exp(1, n_max) - 1).coeffs,
-    )
+    cells += _rows((("case", "Ei_{1,lambda} = e_lambda - 1"),), polyexp[1].coeffs, e_lam_m1.coeffs)
     reports.append(VerifyReport("Eq05", (("n_max", n_max),), tuple(cells)))
 
-    log_series = deg_log(n_max)
-    t_coeffs = TruncatedSeries.t(n_max).coeffs
-    cells = _rows(
-        (("case", "e_lambda(log_lambda(1+t)) = 1+t"),),
-        deg_exp(1, n_max).compose(log_series).coeffs,
-        (TruncatedSeries.t(n_max) + 1).coeffs,
-    )
-    cells += _rows(
-        (("case", "Ei_{1,lambda}(log_lambda(1+t)) = t"),),
-        deg_polyexp(1, n_max).compose(log_series).coeffs,
-        t_coeffs,
-    )
-    cells += _rows(
-        (("case", "log_lambda(e_lambda(t)) = t"),),
-        log_series.compose(deg_exp(1, n_max) - 1).coeffs,
-        t_coeffs,
-    )
+    cells = []
+    for case, lhs, rhs in (
+        ("e_lambda(log_lambda(1+t)) = 1+t", e_lam.compose(log_series), t + 1),
+        ("Ei_{1,lambda}(log_lambda(1+t)) = t", polyexp[1].compose(log_series), t),
+        ("log_lambda(e_lambda(t)) = t", log_series.compose(e_lam_m1), t),
+    ):
+        cells += _rows((("case", case),), lhs.coeffs, rhs.coeffs)
     reports.append(VerifyReport("InverseLogExp", (("n_max", n_max),), tuple(cells)))
 
     cells = []
-    table = memo.stirling(n_max)
-    for n in range(n_max + 1):
+    for n, row in enumerate(memo.stirling(n_max).entries):
         classical = classical_falling_factorial(n)
-        for k in range(n + 1):
-            lhs = table.value(n, k).substitute("lambda", 0)
-            cells.append(
-                _cell((("case", "stirling1 classical"), ("n", n), ("k", k)), lhs, classical.coeff_x(k))
-            )
+        for k, value in enumerate(row):
+            params = (("case", "stirling1 classical"), ("n", n), ("k", k))
+            cells.append(_cell(params, value.substitute("lambda", 0), classical.coeff_x(k)))
     cells += _rows(
         (("case", "genocchi numbers"),),
         _at_lambda0(memo.genocchi(Fraction(0), n_max).values),
@@ -478,10 +474,10 @@ def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyRepor
         _at_lambda0(exp_x.egf_coeff(n) for n in range(n_max + 1)),
         (X**n for n in range(n_max + 1)),
     )
-    for k in (-1, 0, 1, 2):
+    for k, series in polyexp.items():
         cells += _rows(
             (("case", "polyexp classical"), ("k", k)),
-            _at_lambda0(deg_polyexp(k, n_max).coeffs),
+            _at_lambda0(series.coeffs),
             polyexp_modified(k, n_max).coeffs,
         )
     reports.append(VerifyReport("LambdaZeroClassical", (("n_max", n_max),), tuple(cells)))
@@ -519,9 +515,6 @@ PER_KS_CHECKS: dict[str, Callable[..., VerifyReport]] = {
 
 IDENTITY_CHOICES = tuple(PER_KS_CHECKS) + ("basics", "all")
 
-# the largest r of Eq19 in the full sweep
-EQ19_R_MAX = 3
-
 # Prop4 is the one checker whose work grows with trivariate coefficients;
 # inside the full sweep it is capped at this n_max (standalone runs are not).
 PROP4_SWEEP_CAP = 8
@@ -538,8 +531,10 @@ def run_identity(
     ``k_lists`` defaults to :func:`default_k_lists`; default lists whose
     length exceeds ``n_max`` are skipped, while an explicit list longer than
     ``n_max`` still runs and may yield vacuous (zero-cell) reports.  An
-    unknown identity raises ``ValueError``.
+    unknown identity or a negative ``n_max`` raises ``ValueError``.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     memo = memo or FamilyMemo()
     explicit = k_lists is not None
     lists = [tuple(ks) for ks in k_lists] if explicit else list(default_k_lists())

@@ -129,18 +129,17 @@ def test_stirling_recurrence_hand_values():
         stirling1_deg_recurrence(-1)
 
 
-def test_stirling_table_rows_must_match_n_max():
+def test_stirling_table_rows_must_be_triangular():
     rows = stirling1_deg_recurrence(3).entries
-    assert StirlingTable(3, rows).value(3, 1) == LAM**2 - 3 * LAM + 2
-    # a table claiming more rows than it holds used to fail only on lookup,
-    # with an IndexError in place of value's ValueError
-    for n_max in (2, 4, 5):
-        with pytest.raises(ValueError, match="rows"):
-            StirlingTable(n_max, rows)
+    table = StirlingTable(rows)
+    assert table.n_max == 3
+    assert table.value(3, 1) == LAM**2 - 3 * LAM + 2
+    with pytest.raises(ValueError, match="at least one row"):
+        StirlingTable(())
     bad_rows = [rows[:2] + ((ONE,),) + rows[3:], rows[:3] + (rows[3] + (ONE,),)]
     for bad in bad_rows:
         with pytest.raises(ValueError, match="entries in row"):
-            StirlingTable(3, bad)
+            StirlingTable(bad)
 
 
 def test_stirling_triple_oracle_to_12():

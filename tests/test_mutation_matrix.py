@@ -76,7 +76,7 @@ def _faults():
             return table
         rows = [list(row) for row in table.entries]
         rows[4][2] = rows[4][2] + LAM**2
-        return StirlingTable(table.n_max, tuple(map(tuple, rows)))
+        return StirlingTable(tuple(map(tuple, rows)))
 
     def inverse_squared_bumped(r, order, **lam):
         power = inverse_power(r, order, **lam)

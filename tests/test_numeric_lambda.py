@@ -32,7 +32,7 @@ INPUTS = {
 
 
 def _values(built) -> list[MultiPoly]:
-    return [value for _, _, value in cli._entries(built, N)]
+    return [value for _, _, value in cli._entries(built)]
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))

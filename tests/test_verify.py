@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from fraction_chain_factors import chain_factors as fraction_chain_factors
-from degenpoly import cli, families
+from degenpoly import cli, degen, families, verify
 from degenpoly.degen import deg_multi_polyexp, stirling1_deg_recurrence
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.verify import (
@@ -353,3 +353,61 @@ def test_non_int_indices_raise_type_error(build, ks):
     # each used to be truncated by int(): (1.5, 2) built the (1, 2) family
     with pytest.raises(TypeError):
         build(ks)
+
+
+def test_basics_build_each_base_series_once(monkeypatch):
+    built = []
+    for name in ("deg_exp", "deg_polyexp", "deg_log"):
+
+        def counting(*args, original=getattr(verify, name), name=name):
+            built.append((name, *args))
+            return original(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    assert all(report.passed for report in check_basics(4))
+    assert len(built) == len(set(built))
+    assert {("deg_exp", 1, 4), ("deg_polyexp", 1, 4), ("deg_log", 4)} <= set(built)
+
+
+KS = (1, 2)
+NEGATIVE_ORDER_CALLS = {
+    "deg_falling_factorials": lambda n: degen.deg_falling_factorials("x", n),
+    "deg_exp": lambda n: degen.deg_exp("x", n),
+    "deg_log": degen.deg_log,
+    "stirling1_deg_recurrence": degen.stirling1_deg_recurrence,
+    "polyexp_modified": lambda n: degen.polyexp_modified(1, n),
+    "deg_polyexp": lambda n: degen.deg_polyexp(1, n),
+    "deg_multi_polyexp": lambda n: degen.deg_multi_polyexp(KS, n),
+    "genocchi_deg": lambda n: families.genocchi_deg("x", n),
+    "genocchi_deg_order": lambda n: families.genocchi_deg_order(2, "x", n),
+    "euler_deg_order": lambda n: families.euler_deg_order(2, "x", n),
+    "poly_genocchi_deg": lambda n: families.poly_genocchi_deg(2, "x", n),
+    "multi_poly_genocchi_deg": lambda n: families.multi_poly_genocchi_deg(KS, "x", n),
+    "memo.multi_poly_genocchi": lambda n: FamilyMemo().multi_poly_genocchi(KS, "x", n),
+    "memo.poly_genocchi": lambda n: FamilyMemo().poly_genocchi(2, "x", n),
+    "memo.genocchi": lambda n: FamilyMemo().genocchi("x", n),
+    "memo.genocchi_order": lambda n: FamilyMemo().genocchi_order(2, "x", n),
+    "memo.euler_order": lambda n: FamilyMemo().euler_order(2, "x", n),
+    "memo.stirling": lambda n: FamilyMemo().stirling(n),
+    "memo.falling_factorials": lambda n: FamilyMemo().falling_factorials("x", n),
+    "memo.chain_factors": lambda n: FamilyMemo().chain_factors(KS, n),
+    **{
+        f"check.{name}": lambda n, check=check: check(KS, n)
+        for name, check in verify.PER_KS_CHECKS.items()
+    },
+    "check_eq19": check_eq19,
+    "check_reduction": check_reduction,
+    "check_basics": check_basics,
+    **{
+        f"run_identity.{identity}{lists}": lambda n, i=identity, k=k_lists: run_identity(i, n, k)
+        for identity in verify.IDENTITY_CHOICES
+        for lists, k_lists in ((".sweep", None), (".explicit", [KS]))
+    },
+}
+
+
+@pytest.mark.parametrize("call", NEGATIVE_ORDER_CALLS.values(), ids=list(NEGATIVE_ORDER_CALLS))
+def test_negative_order_is_rejected(call):
+    # a plain message, not one from deep inside a build ("cannot truncate ...")
+    with pytest.raises(ValueError, match="nonnegative|n >= 0"):
+        call(-1)
