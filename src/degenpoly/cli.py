@@ -189,19 +189,13 @@ def _render_json(payload: dict) -> str:
     With an indent the standard library leaves its C encoder for a
     pure-Python one that makes several generator steps per value.
     Takes dicts with str keys, lists, tuples, str, int, bool and None; any
-    other value raises ``TypeError``.  A dict that is the last dict rendered
-    at its indent, like the ``params`` that :func:`cmd_compute` shares
-    between the records of a table, reuses that text.
+    other value raises ``TypeError``.
     """
-    return _json_text(payload, "", {}) + "\n"
+    return _json_text(payload, "") + "\n"
 
 
-def _json_text(obj, indent: str, rendered: dict) -> str:
-    """One value of :func:`_render_json`; ``indent`` is the indent of its line.
-
-    ``rendered`` maps each indent to the last dict rendered at it and its
-    text, so a repeated dict costs one lookup and no text is kept per dict.
-    """
+def _json_text(obj, indent: str) -> str:
+    """One value of :func:`_render_json`; ``indent`` is the indent of its line."""
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -217,15 +211,8 @@ def _json_text(obj, indent: str, rendered: dict) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        last = rendered.get(indent)
-        if last is not None and last[0] is obj:
-            return last[1]
-        items = sep.join(
-            _encode_str(key) + ": " + _json_text(v, inner, rendered) for key, v in obj.items()
-        )
-        text = "{\n" + inner + items + "\n" + indent + "}"
-        rendered[indent] = (obj, text)
-        return text
+        items = sep.join(_encode_str(key) + ": " + _json_text(v, inner) for key, v in obj.items())
+        return "{\n" + inner + items + "\n" + indent + "}"
     if not isinstance(obj, (list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:
@@ -239,7 +226,7 @@ def _json_text(obj, indent: str, rendered: dict) -> str:
             pairs = map((",\n" + deeper).join, zip(strings, strings))
             body = ("\n" + inner + "]" + sep + "[\n" + deeper).join(pairs)
             return "[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n" + indent + "]"
-    items = sep.join(_json_text(v, inner, rendered) for v in obj)
+    items = sep.join(_json_text(v, inner) for v in obj)
     return "[\n" + inner + items + "\n" + indent + "]"
 
 

@@ -5,7 +5,8 @@ Every family's exponential generating function is a kernel series times
 truncated series, and one shared assembly multiplies it by
 ``e_lambda^arg(t)`` and reads off the values ``n! * c_n``:
 
-* ``genocchi_deg``: degenerate Genocchi, ``2t / (e_lambda(t) + 1) * e_lambda^x(t)``
+* ``genocchi_deg``: degenerate Genocchi, ``2t / (e_lambda(t) + 1) * e_lambda^x(t)``,
+  built as the order-1 family of ``genocchi_deg_order``
 * ``genocchi_deg_order``: order-r version with ``(2t / (e_lambda(t) + 1))^r``
 * ``euler_deg_order``: degenerate Euler of order r, ``(2 / (e_lambda(t) + 1))^r``
 * ``poly_genocchi_deg``: degenerate poly-Genocchi,
@@ -36,8 +37,8 @@ own.  Each family still multiplies its own kernel by
 ``e_lambda^arg(t)``, except at argument 0: ``e_lambda^0(t) = 1``, so the
 number families are the kernel's own values ``n! c_n``, at every ``lam``.
 Only the multi-poly builder reads the kernel entries: ``poly_genocchi_deg``
-and ``genocchi_deg`` build their own kernels, so the verifier can check the
-single-index reductions against them.
+and the order-r Genocchi builder build their own kernels, so the verifier
+can check the single-index reductions against them.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _norm_argument(argument: Argument) -> Union[str, Fraction]:
         if argument in ("x", "x+y"):
             return argument
         raise ValueError(f"argument must be 'x', 'x+y' or a rational, got {argument!r}")
-    if not isinstance(argument, (int, Fraction)):
+    if isinstance(argument, bool) or not isinstance(argument, (int, Fraction)):
         raise TypeError(f"argument must be an int or a Fraction, got {type(argument).__name__}")
     return Fraction(argument)
 
@@ -190,9 +191,8 @@ def _family(
 
 
 def genocchi_deg(argument: Argument, n_max: int, *, lam: MultiPoly = LAM) -> PolyFamily:
-    """Degenerate Genocchi polynomials ``G_{n,lambda}(argument)``."""
-    kernel = TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)
-    return _family(kernel, argument, n_max, lam=lam)
+    """Degenerate Genocchi polynomials ``G_{n,lambda}(argument)``, the order-1 family."""
+    return genocchi_deg_order(1, argument, n_max, lam=lam)
 
 
 def genocchi_deg_order(

@@ -276,14 +276,6 @@ class MultiPoly:
         shift = _shift(symbol)
         return max((key >> shift & _FIELD for key in self.num), default=0)
 
-    def is_constant(self) -> bool:
-        return not self.num or (len(self.num) == 1 and 0 in self.num)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"polynomial is not constant: {self}")
-        return Fraction(self.num.get(0, 0), self.den)
-
     def __str__(self) -> str:
         return render_poly(self)
 

@@ -136,12 +136,12 @@ class TruncatedSeries:
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
-        c0 = self.coeffs[0]
-        if not c0.is_constant() or not c0:
+        c0 = self.coeffs[0].terms
+        if set(c0) != {(0, 0, 0)}:
             raise ValueError(
                 "series is invertible only when its constant term is a nonzero rational"
             )
-        inv0 = 1 / c0.constant_value()
+        inv0 = 1 / c0[0, 0, 0]
         f, g = self.coeffs, [MultiPoly.const(inv0)]
         for n in range(1, self.order + 1):
             g.append(sum_of_products((1, f[i], g[n - i]) for i in range(1, n + 1)) * (-inv0))

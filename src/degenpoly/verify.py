@@ -179,7 +179,8 @@ class FamilyMemo:
         return self._family(families.poly_genocchi_deg, (k,), argument, n_max)
 
     def genocchi(self, argument, n_max: int) -> PolyFamily:
-        return self._family(families.genocchi_deg, (), argument, n_max)
+        """The order-1 Genocchi family, so it shares that entry of the store."""
+        return self.genocchi_order(1, argument, n_max)
 
     def genocchi_order(self, r: int, argument, n_max: int) -> PolyFamily:
         return self._family(families.genocchi_deg_order, (r,), argument, n_max)
@@ -440,18 +441,20 @@ def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyRepor
     e_lam = deg_exp(1, n_max)
     e_lam_m1 = e_lam - 1
     polyexp = {k: deg_polyexp(k, n_max) for k in (-1, 0, 1, 2)}
+    polyexp_lam0 = {k: polyexp_modified(k, n_max) for k in polyexp}
     log_series = deg_log(n_max)
+    log_powers = log_series.powers(n_max)
     t = TruncatedSeries.t(n_max)
 
     exp_m1 = [ZERO] + [MultiPoly.const(Fraction(1, math.factorial(n))) for n in range(1, n_max + 1)]
-    cells = _rows((("case", "Ei_1 = exp - 1"),), polyexp_modified(1, n_max).coeffs, exp_m1)
+    cells = _rows((("case", "Ei_1 = exp - 1"),), polyexp_lam0[1].coeffs, exp_m1)
     cells += _rows((("case", "Ei_{1,lambda} = e_lambda - 1"),), polyexp[1].coeffs, e_lam_m1.coeffs)
     reports.append(VerifyReport("Eq05", (("n_max", n_max),), tuple(cells)))
 
     cells = []
     for case, lhs, rhs in (
-        ("e_lambda(log_lambda(1+t)) = 1+t", e_lam.compose(log_series), t + 1),
-        ("Ei_{1,lambda}(log_lambda(1+t)) = t", polyexp[1].compose(log_series), t),
+        ("e_lambda(log_lambda(1+t)) = 1+t", e_lam.compose(log_series, log_powers), t + 1),
+        ("Ei_{1,lambda}(log_lambda(1+t)) = t", polyexp[1].compose(log_series, log_powers), t),
         ("log_lambda(e_lambda(t)) = t", log_series.compose(e_lam_m1), t),
     ):
         cells += _rows((("case", case),), lhs.coeffs, rhs.coeffs)
@@ -478,7 +481,7 @@ def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyRepor
         cells += _rows(
             (("case", "polyexp classical"), ("k", k)),
             _at_lambda0(series.coeffs),
-            polyexp_modified(k, n_max).coeffs,
+            polyexp_lam0[k].coeffs,
         )
     reports.append(VerifyReport("LambdaZeroClassical", (("n_max", n_max),), tuple(cells)))
     return reports

@@ -163,7 +163,6 @@ FAULTS_BY_STORE_KIND = {
     ("chain products",): {"chain_enumeration", "falling_in_verify"},
     ("chain factors",): {"chain_enumeration", "falling_in_verify", "stirling_4_2"},
     ("falling",): {"falling_in_verify"},
-    ("genocchi_deg",): {"deg_exp_at_x", "inverse"},
     ("poly_genocchi_deg",): {"deg_exp_at_x", "deg_log", "inverse"},
     ("multi_poly_genocchi_deg",): {
         "deg_exp_at_r",

@@ -36,7 +36,7 @@ def test_canonicalization_drops_zeros():
 
 
 def test_constants_and_symbols():
-    assert MultiPoly.const(Fraction(3, 2)).constant_value() == Fraction(3, 2)
+    assert MultiPoly.const(Fraction(3, 2)).terms == {(0, 0, 0): Fraction(3, 2)}
     assert MultiPoly.const(0) == ZERO
     assert MultiPoly.sym("x") == X
     with pytest.raises(ValueError):
@@ -139,13 +139,6 @@ def test_coeff_x_and_degree():
     assert p.degree("x") == 2
     assert p.degree("lambda") == 1
     assert ZERO.degree("y") == 0
-
-
-def test_constant_value_rejects_nonconstant():
-    with pytest.raises(ValueError):
-        X.constant_value()
-    assert ZERO.constant_value() == 0
-    assert ZERO.is_constant() and not X.is_constant()
 
 
 def test_render_examples():

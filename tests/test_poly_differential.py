@@ -149,18 +149,6 @@ def test_evaluate(t, lam, x, y):
     assert p.evaluate(lam, x, y) == r.evaluate(lam, x, y)
 
 
-@given(st.dictionaries(st.just((0, 0, 0)), COEFFS, max_size=1), TERMS)
-def test_constant_value(c, t):
-    p, r = both(c)
-    assert p.is_constant() and r.is_constant()
-    assert p.constant_value() == r.constant_value()
-    q, s = both(t)
-    assert q.is_constant() == s.is_constant()
-    if not q.is_constant():
-        with pytest.raises(ValueError):
-            q.constant_value()
-
-
 @given(TERMS)
 def test_render_bytes_and_parse_round_trip(t):
     p, r = both(t)

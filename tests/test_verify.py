@@ -10,6 +10,7 @@ from fraction_chain_factors import chain_factors as fraction_chain_factors
 from degenpoly import cli, degen, families, verify
 from degenpoly.degen import deg_multi_polyexp, stirling1_deg_recurrence
 from degenpoly.poly import ZERO, MultiPoly
+from degenpoly.series import TruncatedSeries
 from degenpoly.verify import (
     FamilyMemo,
     _binomial_convolution,
@@ -226,11 +227,16 @@ def test_run_identity_explicit_infeasible_list_is_honored():
 
 def test_memo_keeps_coinciding_families_apart():
     memo = FamilyMemo()
-    plain = memo.genocchi("x", 6)
-    order_one = memo.genocchi_order(1, "x", 6)
-    assert plain is not order_one
-    assert plain.values == order_one.values
     assert memo.poly_genocchi(2, "x", 6) is not memo.multi_poly_genocchi((2,), "x", 6)
+
+
+def test_sweep_serves_genocchi_from_the_order_one_entry():
+    memo = FamilyMemo()
+    run_identity("all", 8, memo=memo)
+    heads = {key[0] for key in memo._store._entries if isinstance(key, tuple)}
+    assert families.genocchi_deg_order in heads
+    assert families.genocchi_deg not in heads
+    assert memo.genocchi("x", 8).values == memo.genocchi_order(1, "x", 8).values
 
 
 def test_corrupt_memo_fails_every_multi_vs_poly_reduction():
@@ -355,18 +361,48 @@ def test_non_int_indices_raise_type_error(build, ks):
         build(ks)
 
 
+@pytest.mark.parametrize("argument", [True, False])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda argument: families.genocchi_deg(argument, 4),
+        lambda argument: families.multi_poly_genocchi_deg((1, 2), argument, 4),
+        lambda argument: FamilyMemo().genocchi(argument, 4),
+        lambda argument: FamilyMemo().multi_poly_genocchi((1, 2), argument, 4),
+    ],
+    ids=["genocchi_deg", "multi_poly_genocchi_deg", "memo.genocchi", "memo.multi_poly_genocchi"],
+)
+def test_bool_argument_raises_type_error(build, argument):
+    # each used to read True as the argument 1 and False as 0
+    with pytest.raises(TypeError):
+        build(argument)
+
+
 def test_basics_build_each_base_series_once(monkeypatch):
-    built = []
-    for name in ("deg_exp", "deg_polyexp", "deg_log"):
+    built, logs, powered = [], [], []
+    for name in ("deg_exp", "deg_polyexp", "polyexp_modified", "deg_log"):
 
         def counting(*args, original=getattr(verify, name), name=name):
             built.append((name, *args))
-            return original(*args)
+            out = original(*args)
+            if name == "deg_log":
+                logs.append(out)
+            return out
 
         monkeypatch.setattr(verify, name, counting)
+
+    def counting_powers(self, count, original=TruncatedSeries.powers):
+        powered.append(self)
+        return original(self, count)
+
+    monkeypatch.setattr(TruncatedSeries, "powers", counting_powers)
     assert all(report.passed for report in check_basics(4))
     assert len(built) == len(set(built))
     assert {("deg_exp", 1, 4), ("deg_polyexp", 1, 4), ("deg_log", 4)} <= set(built)
+    assert {("polyexp_modified", k, 4) for k in (-1, 0, 1, 2)} <= set(built)
+    # both compositions over log_lambda(1+t) share one list of its powers
+    [log] = logs
+    assert sum(series is log for series in powered) == 1
 
 
 KS = (1, 2)
@@ -375,6 +411,7 @@ NEGATIVE_ORDER_CALLS = {
     "deg_exp": lambda n: degen.deg_exp("x", n),
     "deg_log": degen.deg_log,
     "stirling1_deg_recurrence": degen.stirling1_deg_recurrence,
+    "classical_falling_factorial": degen.classical_falling_factorial,
     "polyexp_modified": lambda n: degen.polyexp_modified(1, n),
     "deg_polyexp": lambda n: degen.deg_polyexp(1, n),
     "deg_multi_polyexp": lambda n: degen.deg_multi_polyexp(KS, n),
