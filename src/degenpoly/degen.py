@@ -181,10 +181,13 @@ def deg_polyexp(k: int, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
 def index_tuple(ks: Sequence[int]) -> tuple[int, ...]:
     """The polyexponential index list ``ks`` as a tuple of ints.
 
-    Any index that is not an ``int`` (a float, a string, a bool) raises
-    ``TypeError`` rather than being truncated to one.
+    An empty list raises ``ValueError``.  Any index that is not an ``int``
+    (a float, a string, a bool) raises ``TypeError`` rather than being
+    truncated to one.
     """
     ks = tuple(ks)
+    if not ks:
+        raise ValueError("need at least one polyexponential index")
     for k in ks:
         if type(k) is not int:
             raise TypeError(f"polyexponential indices must be ints, got {k!r}")
@@ -201,8 +204,6 @@ def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) ->
     per index using prefix sums over the previous level.
     """
     ks = index_tuple(ks)
-    if not ks:
-        raise ValueError("need at least one polyexponential index")
     if order < 0:
         raise ValueError("series order must be nonnegative")
     ones = deg_falling_factorials(1, order, lam=lam)

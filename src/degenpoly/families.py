@@ -31,11 +31,12 @@ A :class:`SubSeriesStore` is active while it builds an entry, as when a
 memo builds a family.  Symbolic builds running then take
 ``2 / (e_lambda(t) + 1)``, its powers, the powers of ``log_lambda(1+t)``,
 each k-list's multi-poly-Genocchi kernel and ``e_lambda^arg(t)`` for each
-argument from that store, each built once at the largest order asked for;
-outside a store's build, and at any other ``lam``, every build makes its
-own.  Each family still multiplies its own kernel by
-``e_lambda^arg(t)``, except at argument 0: ``e_lambda^0(t) = 1``, so the
-number families are the kernel's own values ``n! c_n``, at every ``lam``.
+argument from that store, each built once at the largest order asked for
+and served as a prefix of its coefficients; outside a store's build, and
+at any other ``lam``, every build makes its own.  Each family still
+multiplies its own kernel by ``e_lambda^arg(t)``, except at argument 0:
+``e_lambda^0(t) = 1``, so the number families are the kernel's own values
+``n! c_n``, at every ``lam``.
 Only the multi-poly builder reads the kernel entries: ``poly_genocchi_deg``
 and the order-r Genocchi builder build their own kernels, so the verifier
 can check the single-index reductions against them.
@@ -46,14 +47,13 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Sequence, TypeVar, Union
+from typing import Callable, Hashable, Sequence, Union
 
 from .degen import deg_exp, deg_log, deg_multi_polyexp, deg_polyexp, index_tuple
 from .poly import LAM, ONE, MultiPoly, sum_of_products
 from .series import TruncatedSeries, square_terms
 
 Argument = Union[str, int, Fraction]
-T = TypeVar("T")
 
 
 def _norm_argument(argument: Argument) -> Union[str, Fraction]:
@@ -78,28 +78,24 @@ class PolyFamily:
 
 
 class SubSeriesStore:
-    """Values built once per key, at the largest order asked for so far.
+    """Sequences indexed by order, each built once per key at the largest order asked for so far.
 
-    A request at or below that order is served by cutting the stored value
-    down, since the low coefficients of a truncated series do not depend on
-    where it is cut; a larger order builds the value again.  The store is
-    active while ``build`` runs, so the family builders it calls share
-    their sub-series through it.  One store belongs to one
+    A request at or below that order is served as a prefix of the stored
+    sequence, since the low coefficients of a truncated series do not
+    depend on where it is cut; a larger order builds the sequence again.
+    Callers store plain sequences (coefficients, family values, table
+    rows) and wrap what they are served.  The store is active while
+    ``build`` runs, so the family builders it calls share their sub-series
+    through it.  One store belongs to one
     :class:`~degenpoly.verify.FamilyMemo`, which keeps its families, chain
     sums and those sub-series in it.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[Hashable, tuple[int, Any]] = {}
+        self._entries: dict[Hashable, tuple[int, Sequence]] = {}
 
-    def get(
-        self,
-        key: Hashable,
-        order: int,
-        build: Callable[[int], T],
-        cut: Callable[[T, int], T],
-    ) -> T:
-        """The value under ``key`` at ``order``: ``build(order)``, or ``cut(stored, order)``."""
+    def get(self, key: Hashable, order: int, build: Callable[[int], Sequence]) -> Sequence:
+        """Entries ``0..order`` under ``key``, from ``build(order)`` if those stored end lower."""
         entry = self._entries.get(key)
         if entry is None or entry[0] < order:
             token = _STORE.set(self)
@@ -108,8 +104,7 @@ class SubSeriesStore:
             finally:
                 _STORE.reset(token)
             self._entries[key] = entry
-        built_order, value = entry
-        return value if built_order == order else cut(value, order)
+        return entry[1][: order + 1]
 
 
 # The store that is building an entry, if any.  Builders called outside
@@ -127,16 +122,12 @@ def _active_store(lam: MultiPoly) -> SubSeriesStore | None:
 
 def _shared_series(
     key: Hashable, order: int, build: Callable[[int], TruncatedSeries], *, lam: MultiPoly
-):
-    """``build(order)``, or the active store's copy of it."""
+) -> TruncatedSeries:
+    """``build(order)``, or the series on the active store's copy of its coefficients."""
     store = _active_store(lam)
     if store is None:
         return build(order)
-    return store.get(key, order, build, TruncatedSeries.truncate)
-
-
-def _truncate_powers(powers: tuple[TruncatedSeries, ...], order: int):
-    return tuple(power.truncate(order) for power in powers[:order])
+    return TruncatedSeries(order, store.get(key, order, lambda n: build(n).coeffs))
 
 
 def _two_over_exp_plus_one(order: int, *, lam: MultiPoly) -> TruncatedSeries:
@@ -164,11 +155,10 @@ def _two_over_exp_plus_one_power(r: int, order: int, *, lam: MultiPoly) -> Trunc
 def _compose_with_log(outer: TruncatedSeries, *, lam: MultiPoly) -> TruncatedSeries:
     """``outer(log_lambda(1+t))``; inside a memo, the log and its powers come from its store."""
     order = outer.order
+    log = _shared_series("log", order, lambda n: deg_log(n, lam=lam), lam=lam)
     store = _active_store(lam)
-    if store is None:
-        return outer.compose(deg_log(order, lam=lam))
-    log = store.get("log", order, deg_log, TruncatedSeries.truncate)
-    powers = store.get("log powers", order, lambda _: log.powers(order), _truncate_powers)
+    # powers built at a larger order serve too: compose reads them only up to t^order
+    powers = None if store is None else store.get("log powers", order, lambda _: log.powers(order))
     return outer.compose(log, powers)
 
 
@@ -178,8 +168,8 @@ def _family(
     """The family whose egf is ``kernel * e_lambda^argument(t)``.
 
     ``e_lambda^0(t) = 1``, so at argument 0 the values are the kernel's own.
+    The builders normalise ``argument`` before they build the kernel.
     """
-    argument = _norm_argument(argument)
     if argument == 0:
         gen = kernel
     else:
@@ -201,6 +191,7 @@ def genocchi_deg_order(
     """Degenerate Genocchi polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
+    argument = _norm_argument(argument)
     # (2t/(e+1))^r, not t^r times the Euler kernel: Eq19 checks one against the other
     kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)) ** r
     return _family(kernel, argument, n_max, lam=lam)
@@ -212,6 +203,7 @@ def euler_deg_order(
     """Degenerate Euler polynomials of order r."""
     if r < 1:
         raise ValueError("order r must be at least 1")
+    argument = _norm_argument(argument)
     kernel = _two_over_exp_plus_one_power(r, n_max, lam=lam)
     return _family(kernel, argument, n_max, lam=lam)
 
@@ -220,6 +212,7 @@ def poly_genocchi_deg(
     k: int, argument: Argument, n_max: int, *, lam: MultiPoly = LAM
 ) -> PolyFamily:
     """Degenerate poly-Genocchi polynomials ``g_{n,lambda}^{(k)}(argument)``."""
+    argument = _norm_argument(argument)
     num = _compose_with_log(deg_polyexp(k, n_max, lam=lam), lam=lam)
     kernel = num * _two_over_exp_plus_one_power(1, n_max, lam=lam)
     return _family(kernel, argument, n_max, lam=lam)
@@ -230,6 +223,7 @@ def multi_poly_genocchi_deg(
 ) -> PolyFamily:
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
     ks = index_tuple(ks)
+    argument = _norm_argument(argument)
 
     # the kernel does not depend on the argument: a memo builds it once per k-list
     def build(order: int) -> TruncatedSeries:

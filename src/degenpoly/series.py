@@ -179,8 +179,9 @@ class TruncatedSeries:
         from ``t^(wv)`` up, and ``ZERO`` below.  The powers ``g^j``
         come from :meth:`powers`, up to the last nonzero ``f_j``; a caller
         that composes several series with one ``g`` may pass them as
-        ``powers`` (``powers[j - 1]`` is ``g^j``, at this order) to build
-        them once.
+        ``powers`` (``powers[j - 1]`` is ``g^j``) to build them once.  Only
+        their coefficients up to ``t^order`` are read, so powers of the same
+        ``g`` built at this order or above give the same result.
         """
         if not isinstance(inner, TruncatedSeries):
             raise TypeError("compose expects a TruncatedSeries")
@@ -207,11 +208,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient index {n} out of range 0..{self.order}")
         return self.coeffs[n] * math.factorial(n)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -108,29 +108,15 @@ def _binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int
     return sum_of_products((math.comb(n, l), a[l], b[n - l]) for l in ls)
 
 
-def _truncate(family: PolyFamily, n_max: int) -> PolyFamily:
-    """The same family cut down to ``n_max``."""
-    return PolyFamily(family.values[: n_max + 1])
-
-
-def _truncate_stirling(table: StirlingTable, n_max: int) -> StirlingTable:
-    """The same Stirling triangle cut down to ``n_max``."""
-    return StirlingTable(table.entries[: n_max + 1])
-
-
-def _head(seq: Sequence, n_max: int) -> Sequence:
-    """Entries 0..n_max of a table indexed by n."""
-    return seq[: n_max + 1]
-
-
 class FamilyMemo:
     """Caches family constructions and sub-series shared between checkers.
 
     Everything lives in one :class:`~degenpoly.families.SubSeriesStore`: a
-    family is built once per builder and parameters, at the largest order
-    asked so far, and a request at or below that order is served by
-    truncating the build, since the low coefficients of a truncated series
-    do not depend on where it is cut.  The same holds for the chain
+    family's values are built once per builder and parameters, at the
+    largest order asked so far, and a request at or below that order is
+    served as a prefix of them, since the low coefficients of a truncated
+    series do not depend on where it is cut; each accessor wraps what it
+    is served in its own type.  The same holds for the chain
     products per r and the chain factors per k-list that Thm1, Cor2 and
     Thm3 share, and for the ``(x)_{m,lambda}`` and ``(y)_{m,lambda}`` bases
     of Eq15 and Prop4, which come from :func:`deg_falling_factorials` and
@@ -147,7 +133,7 @@ class FamilyMemo:
 
     With ``corrupt=True`` every multi-poly-Genocchi family served at symbolic
     argument x gets 1 added to the top value it is served with, after the
-    truncation.  This is the test hook behind
+    cut.  This is the test hook behind
     the CLI's hidden ``--corrupt`` flag: only the x-argument copies are
     touched, so comparisons against clean routes (explicit sums, number
     families, the x+y family) are guaranteed to break rather than cancel.
@@ -165,7 +151,8 @@ class FamilyMemo:
         entries and can be checked against each other.
         """
         params = (*params, families._norm_argument(argument))
-        return self._store.get((builder, params), n_max, partial(builder, *params), _truncate)
+        values = self._store.get((builder, params), n_max, lambda n: builder(*params, n).values)
+        return PolyFamily(values)
 
     def multi_poly_genocchi(self, ks, argument, n_max: int) -> PolyFamily:
         fam = self._family(families.multi_poly_genocchi_deg, (index_tuple(ks),), argument, n_max)
@@ -190,9 +177,10 @@ class FamilyMemo:
 
     def stirling(self, n_max: int) -> StirlingTable:
         """The Stirling triangle, stored under its builder like a family; looked up at each call."""
-        return self._store.get(
-            (stirling1_deg_recurrence, ()), n_max, stirling1_deg_recurrence, _truncate_stirling
+        entries = self._store.get(
+            (stirling1_deg_recurrence, ()), n_max, lambda n: stirling1_deg_recurrence(n).entries
         )
+        return StirlingTable(entries)
 
     def falling_factorials(self, base: str, n_max: int) -> list[MultiPoly]:
         """``(base)_{m,lambda}`` for m = 0..n_max, one :func:`deg_falling_factorials` per base.
@@ -200,19 +188,18 @@ class FamilyMemo:
         The builder is looked up at each call, so a patched
         ``deg_falling_factorials`` reaches the stored lists.
         """
-        return self._store.get(
-            ("falling", base), n_max, partial(deg_falling_factorials, base), _head
-        )
+        return self._store.get(("falling", base), n_max, partial(deg_falling_factorials, base))
 
-    def chain_factors(self, ks: tuple[int, ...], n_max: int) -> list[MultiPoly]:
+    def chain_factors(self, ks, n_max: int) -> list[MultiPoly]:
         """:func:`_chain_factors` of ``ks`` up to ``n_max``, over the shared chain products."""
+        ks = index_tuple(ks)
 
         def build(n: int) -> list[MultiPoly]:
             r = len(ks)
-            products = self._store.get(("chain products", r), n, partial(_chain_products, r), _head)
+            products = self._store.get(("chain products", r), n, partial(_chain_products, r))
             return _chain_factors(ks, self.stirling(n), products)
 
-        return self._store.get(("chain factors", ks), n_max, build, _head)
+        return self._store.get(("chain factors", ks), n_max, build)
 
 
 def _chain_products(r: int, n_max: int) -> list[list[tuple[tuple[int, ...], MultiPoly]]]:

@@ -78,12 +78,35 @@ def test_genocchi_polynomial_argument_forms():
         genocchi_deg(0.1, 3)
 
 
-def test_genocchi_order_one_reduces():
-    a = genocchi_deg_order(1, "x", 6)
-    b = genocchi_deg("x", 6)
-    assert a.values == b.values
+def test_genocchi_order_rejects_order_zero():
     with pytest.raises(ValueError):
         genocchi_deg_order(0, "x", 4)
+
+
+BUILDERS = {
+    "genocchi": lambda argument: genocchi_deg(argument, 14),
+    "genocchi_order": lambda argument: genocchi_deg_order(2, argument, 14),
+    "euler_order": lambda argument: euler_deg_order(2, argument, 14),
+    "poly": lambda argument: poly_genocchi_deg(2, argument, 14),
+    "multi": lambda argument: multi_poly_genocchi_deg((-1, 1, 2), argument, 14),
+}
+
+
+@pytest.mark.parametrize("argument, error", [("z", ValueError), (True, TypeError)])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_bad_argument_raises_before_the_kernel_is_built(builder, argument, error, monkeypatch):
+    calls = []
+    for name in ("deg_multi_polyexp", "deg_polyexp", "_two_over_exp_plus_one"):
+        original = getattr(families, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(families, name, spy)
+    with pytest.raises(error):
+        BUILDERS[builder](argument)
+    assert calls == []
 
 
 def test_euler_order_hand_values():

@@ -110,6 +110,19 @@ def test_compose_against_brute_force():
         assert outer.compose(inner) == brute_compose(outer, inner)
 
 
+@pytest.mark.parametrize("valuation", [1, 4])
+def test_compose_takes_powers_built_at_a_larger_order(valuation):
+    # compose reads the given powers only up to t^order, so the powers of
+    # the same inner series built at order + 3 give the same result
+    rng = random.Random(17 + valuation)
+    order = 9
+    coeffs = rand_series(rng, order + 3).coeffs
+    big = TruncatedSeries(order + 3, [ZERO] * valuation + list(coeffs[valuation:]))
+    inner = TruncatedSeries(order, big.coeffs[: order + 1])
+    outer = rand_series(rng, order)
+    assert outer.compose(inner, big.powers(order)) == outer.compose(inner)
+
+
 def test_compose_requires_zero_constant_term():
     with pytest.raises(ValueError):
         TruncatedSeries.t(2).compose(TruncatedSeries.constant(1, 2))
@@ -178,14 +191,6 @@ def test_egf_coeff():
     with pytest.raises(ValueError):
         s.egf_coeff(-1)
     assert TruncatedSeries(2, [0, 0, X]).egf_coeff(2) == 2 * X
-
-
-def test_truncate():
-    s = TruncatedSeries(4, [5, 4, 3, 2, 1])
-    assert s.truncate(2).coeffs == s.coeffs[:3]
-    assert s.truncate(4) == s
-    with pytest.raises(ValueError):
-        s.truncate(5)
 
 
 def test_factorial_scaling_consistency():

@@ -1,7 +1,7 @@
 """The memo's store of shared sub-series: what it shares, and with whom not.
 
 A :class:`FamilyMemo` builds each shared piece once, at the largest order
-asked so far, and serves lower orders by truncation.  The store belongs to
+asked so far, and serves every order as a prefix of it.  The store belongs to
 that memo only and is active only while the memo's own builder calls run:
 a second memo, or a builder called outside any memo, builds everything
 again.
@@ -13,10 +13,9 @@ from fractions import Fraction
 import pytest
 
 from degenpoly import families, verify
-from degenpoly.degen import StirlingTable, stirling1_deg_recurrence
-from degenpoly.families import PolyFamily, SubSeriesStore
+from degenpoly.degen import deg_falling_factorials, stirling1_deg_recurrence
+from degenpoly.families import SubSeriesStore
 from degenpoly.poly import MultiPoly
-from degenpoly.series import TruncatedSeries
 from degenpoly.verify import FamilyMemo, default_k_lists, run_identity
 
 
@@ -41,14 +40,20 @@ def test_store_builds_at_the_largest_order_and_cuts_below_it():
         built.append(n)
         return list(range(n + 1))
 
-    def head(seq, n):
-        return seq[: n + 1]
-
-    assert store.get("k", 5, build, head) == [0, 1, 2, 3, 4, 5]
-    assert store.get("k", 3, build, head) == [0, 1, 2, 3]
-    assert store.get("k", 7, build, head) == list(range(8))
-    assert store.get("k", 5, build, head) == list(range(6))
+    assert store.get("k", 5, build) == [0, 1, 2, 3, 4, 5]
+    assert store.get("k", 3, build) == [0, 1, 2, 3]
+    assert store.get("k", 7, build) == list(range(8))
+    assert store.get("k", 5, build) == list(range(6))
     assert built == [5, 7]
+
+
+def test_served_lists_are_copies():
+    store = SubSeriesStore()
+    store.get("k", 4, lambda n: list(range(n + 1)))[0] = "changed"
+    assert store.get("k", 4, lambda n: []) == [0, 1, 2, 3, 4]
+    memo = FamilyMemo()
+    memo.falling_factorials("x", 5).clear()
+    assert memo.falling_factorials("x", 5) == deg_falling_factorials("x", 5)
 
 
 def test_a_store_is_active_only_while_it_builds():
@@ -57,15 +62,15 @@ def test_a_store_is_active_only_while_it_builds():
 
     def build_inner(n):
         seen.append(("inner", families._STORE.get()))
-        return n
+        return list(range(n + 1))
 
     def build_outer(n):
         seen.append(("outer", families._STORE.get()))
-        inner.get("k", n, build_inner, min)
+        inner.get("k", n, build_inner)
         seen.append(("outer again", families._STORE.get()))
-        return n
+        return list(range(n + 1))
 
-    assert outer.get("k", 3, build_outer, min) == 3
+    assert outer.get("k", 3, build_outer) == [0, 1, 2, 3]
     assert seen == [("outer", outer), ("inner", inner), ("outer again", outer)]
     assert families._STORE.get() is None
 
@@ -74,7 +79,7 @@ def test_a_store_is_active_only_while_it_builds():
         raise RuntimeError("build failed")
 
     with pytest.raises(RuntimeError):
-        outer.get("other", 2, fail, min)
+        outer.get("other", 2, fail)
     assert families._STORE.get() is None
 
 
@@ -149,6 +154,15 @@ def test_full_sweep_builds_no_order_beyond_what_it_reads(monkeypatch):
     run_identity("all", 3, k_lists=[(1, 2), (1, 2, 3, 4, 5)])
     assert max(r for r, _, _ in builds) == verify.EQ19_R_MAX
     assert builds[0] == (verify.EQ19_R_MAX, "x", 3 + verify.EQ19_R_MAX)
+
+
+def test_builder_raising_inside_a_memo_build_leaves_no_store_active():
+    # the order check sits inside the builder, so it raises while the store builds
+    memo = FamilyMemo()
+    with pytest.raises(ValueError):
+        memo.genocchi_order(0, "x", 4)
+    assert families._STORE.get() is None
+    assert memo.genocchi_order(1, "x", 4).values
 
 
 def test_builder_that_raises_leaves_no_store_active():
@@ -230,14 +244,19 @@ def test_numeric_lambda_build_leaves_the_store_alone():
 def test_memo_builds_everything_symbolically():
     memo = FamilyMemo()
     run_identity("all", 4, memo=memo)
-    entries = [value for _, value in memo._store._entries.values()]
-    tables = [e for e in entries if isinstance(e, (PolyFamily, StirlingTable))]
+    # a plain key is its own kind; a tuple key's kind is its head, a builder for a table
+    entries = [
+        (key if isinstance(key, str) else key[0], value)
+        for key, (_, value) in memo._store._entries.items()
+    ]
+    tables = [(kind, value) for kind, value in entries if callable(kind)]
     assert len(tables) > 20
-    for table in tables:
-        values = table.values if isinstance(table, PolyFamily) else sum(table.entries, ())
-        assert any(value.degree("lambda") for value in values), table
-    for series in (e for e in entries if isinstance(e, TruncatedSeries)):
-        assert any(coeff.degree("lambda") for coeff in series.coeffs)
+    for kind, table in tables:
+        values = sum(table, ()) if kind is stirling1_deg_recurrence else table
+        assert any(value.degree("lambda") for value in values), kind
+    series_kinds = ("2/(e+1)", "log", "multi kernel", "e^arg")
+    for coeffs in (value for kind, value in entries if kind in series_kinds):
+        assert any(coeff.degree("lambda") for coeff in coeffs)
 
 
 def test_lambda_zero_checks_substitute_symbolic_builds(monkeypatch):

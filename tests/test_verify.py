@@ -152,12 +152,23 @@ def test_report_to_dict_shape():
     assert d["cells"][0]["params"] == {"n": 2}
 
 
-def test_memo_caches_and_is_shared():
+def test_memo_caches_and_is_shared(monkeypatch):
+    built = _count_multi_builds(monkeypatch)
+    tables = []
+    original = verify.stirling1_deg_recurrence
+
+    def counting(n_max):
+        tables.append(n_max)
+        return original(n_max)
+
+    monkeypatch.setattr(verify, "stirling1_deg_recurrence", counting)
     memo = FamilyMemo()
     a = memo.multi_poly_genocchi((1, 2), "x", 6)
     b = memo.multi_poly_genocchi([1, 2], "x", 6)
-    assert a is b
-    assert memo.stirling(6) is memo.stirling(6)
+    assert a == b
+    assert len(built) == 1
+    assert memo.stirling(6) == memo.stirling(6)
+    assert tables == [6]
 
 
 def test_classical_genocchi_oracle_frozen():
@@ -269,6 +280,23 @@ def test_chain_factors_match_the_fraction_weight_oracle(r):
     for ks in k_lists:
         expected = fraction_chain_factors(ks, stirling, products)
         assert _chain_factors(ks, stirling, products) == expected, ks
+
+
+def test_chain_factors_take_an_index_list():
+    memo = FamilyMemo()
+    assert memo.chain_factors([1, 2], 5) == memo.chain_factors((1, 2), 5)
+
+
+def test_chain_factors_reject_an_empty_index_list():
+    with pytest.raises(ValueError, match="need at least one polyexponential index"):
+        FamilyMemo().chain_factors((), 5)
+
+
+def test_chain_factors_reject_a_bool_index():
+    memo = FamilyMemo()
+    memo.chain_factors((1, 2), 4)
+    with pytest.raises(TypeError):
+        memo.chain_factors((True, 2), 4)
 
 
 def _count_multi_builds(monkeypatch) -> list:
