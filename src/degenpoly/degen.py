@@ -17,9 +17,11 @@ reduces to a classical object at lambda = 0:
   index chains ``0 < n_1 < ... < n_r``.
 
 Series weights and bases may be the symbols ``"x"``, ``"y"``, the sum
-``"x+y"``, or any exact rational.  Each builder that reads lambda takes it
-as the keyword ``lam``: the symbol ``LAM`` by default, or a constant
-polynomial to build at that value of lambda directly.
+``"x+y"``, or any exact rational.  Each kind of input has one reader
+here: :func:`index_tuple`, :func:`read_count` and :func:`read_argument`.
+Each builder that reads lambda takes it as the keyword ``lam``: the symbol
+``LAM`` by default, or a constant polynomial to build at that value of
+lambda directly.
 """
 
 from __future__ import annotations
@@ -32,25 +34,45 @@ from typing import Sequence, Union
 from .poly import LAM, ONE, X, Y, ZERO, MultiPoly, sum_of_products
 from .series import TruncatedSeries
 
-Weight = Union[str, int, Fraction]
+Argument = Union[str, int, Fraction]
+
+_BASES = {"x": X, "y": Y, "x+y": X + Y}
 
 
-def _base_poly(base: Weight) -> MultiPoly:
-    if isinstance(base, str):
-        if base == "x":
-            return X
-        if base == "y":
-            return Y
-        if base == "x+y":
-            return X + Y
-        raise ValueError(f"unknown symbolic base {base!r}; expected 'x', 'y' or 'x+y'")
-    return MultiPoly.const(base)
+def read_count(value: int, name: str = "n_max", least: int = 0) -> int:
+    """``n_max``, an order or r: an ``int`` (never a bool) of at least ``least``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
-def deg_falling_factorials(base: Weight, n_max: int, *, lam: MultiPoly = LAM) -> list[MultiPoly]:
+def read_argument(value: Argument, *, weight: bool = False) -> Union[str, Fraction]:
+    """A family argument: ``"x"``, ``"x+y"``, or an int or ``Fraction`` (never a bool).
+
+    A symbol comes back as given and a number as a ``Fraction``; a series
+    ``weight`` or base may also be ``"y"``.
+    """
+    if isinstance(value, str):
+        symbols = _BASES if weight else ("x", "x+y")
+        if value in symbols:
+            return value
+        raise ValueError(f"expected one of {tuple(symbols)} or a rational, got {value!r}")
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
+def _base_poly(base: Argument) -> MultiPoly:
+    base = read_argument(base, weight=True)
+    return _BASES[base] if isinstance(base, str) else MultiPoly.const(base)
+
+
+def deg_falling_factorials(base: Argument, n_max: int, *, lam: MultiPoly = LAM) -> list[MultiPoly]:
     """``(base)_{m,lambda}`` for m = 0..n_max, in one running product."""
-    if n_max < 0:
-        raise ValueError("falling factorial needs n >= 0")
+    read_count(n_max)
     b = _base_poly(base)
     out = [ONE]
     for i in range(n_max):
@@ -60,15 +82,14 @@ def deg_falling_factorials(base: Weight, n_max: int, *, lam: MultiPoly = LAM) ->
 
 def classical_falling_factorial(n: int) -> MultiPoly:
     """Ordinary falling factorial ``(x)_n = x (x-1) ... (x-n+1)``."""
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
+    read_count(n, "n")
     out = ONE
     for i in range(n):
         out = out * (X - i)
     return out
 
 
-def deg_exp(weight: Weight, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
+def deg_exp(weight: Argument, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """Degenerate exponential ``e_lambda^weight(t)`` to the given order.
 
     The ordinary coefficient at t^n is ``(weight)_{n,lambda} / n!``.
@@ -137,8 +158,7 @@ def stirling1_deg_recurrence(n_max: int, *, lam: MultiPoly = LAM) -> StirlingTab
 
     ``S(0,0) = 1`` and ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)``.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    read_count(n_max)
     rows: list[tuple[MultiPoly, ...]] = [(ONE,)]
     for n in range(n_max):
         prev = (ZERO, *rows[n], ZERO)  # prev[k + 1] is S(n, k), zero outside 0..n
@@ -155,6 +175,7 @@ def polyexp_modified(k: int, order: int) -> TruncatedSeries:
 
     ``Ei_1(t) = e^t - 1``.
     """
+    index_tuple((k,))
     coeffs: list[MultiPoly] = [ZERO]
     for n in range(1, order + 1):
         coeffs.append(
@@ -169,6 +190,7 @@ def deg_polyexp(k: int, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     The coefficient at t^n (n >= 1) is ``(1)_{n,lambda} / ((n-1)! n^k)``;
     ``Ei_{1,lambda}(t) = e_lambda(t) - 1``.
     """
+    index_tuple((k,))
     coeffs: list[MultiPoly] = [ZERO]
     prod = ONE
     for n in range(1, order + 1):
@@ -179,7 +201,7 @@ def deg_polyexp(k: int, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
 
 
 def index_tuple(ks: Sequence[int]) -> tuple[int, ...]:
-    """The polyexponential index list ``ks`` as a tuple of ints.
+    """The polyexponential index list ``ks`` as a tuple of ints; a single k is read as ``(k,)``.
 
     An empty list raises ``ValueError``.  Any index that is not an ``int``
     (a float, a string, a bool) raises ``TypeError`` rather than being
@@ -204,8 +226,6 @@ def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) ->
     per index using prefix sums over the previous level.
     """
     ks = index_tuple(ks)
-    if order < 0:
-        raise ValueError("series order must be nonnegative")
     ones = deg_falling_factorials(1, order, lam=lam)
     level: list[MultiPoly] | None = None
     for k in ks:

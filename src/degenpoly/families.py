@@ -23,9 +23,10 @@ it against ``e_lambda^r(t)``, compares two separate routes.  Its powers
 The argument may be the symbol ``"x"``, the sum ``"x+y"``, or an exact
 rational (0 gives the number family).  ``multi_poly_genocchi_deg`` with a
 single index k equals ``poly_genocchi_deg(k, ...)``, and with k = 1 both
-collapse to ``genocchi_deg``.  Every builder takes the keyword ``lam``: the
-symbol ``LAM`` by default, or a constant polynomial to build the family at
-that value of lambda directly.
+collapse to ``genocchi_deg``.  Each builder reads its inputs through the
+readers in :mod:`degenpoly.degen` before it builds a kernel.  Every builder
+takes the keyword ``lam``: the symbol ``LAM`` by default, or a constant
+polynomial to build the family at that value of lambda directly.
 
 A :class:`SubSeriesStore` is active while it builds an entry, as when a
 memo builds a family.  Symbolic builds running then take
@@ -47,24 +48,12 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence, Union
+from typing import Callable, Hashable, Sequence
 
-from .degen import deg_exp, deg_log, deg_multi_polyexp, deg_polyexp, index_tuple
+from .degen import Argument, deg_exp, deg_log, deg_multi_polyexp, deg_polyexp, index_tuple
+from .degen import read_argument, read_count
 from .poly import LAM, ONE, MultiPoly, sum_of_products
 from .series import TruncatedSeries, square_terms
-
-Argument = Union[str, int, Fraction]
-
-
-def _norm_argument(argument: Argument) -> Union[str, Fraction]:
-    if isinstance(argument, str):
-        if argument in ("x", "x+y"):
-            return argument
-        raise ValueError(f"argument must be 'x', 'x+y' or a rational, got {argument!r}")
-    if isinstance(argument, bool) or not isinstance(argument, (int, Fraction)):
-        raise TypeError(f"argument must be an int or a Fraction, got {type(argument).__name__}")
-    return Fraction(argument)
-
 
 @dataclass(frozen=True)
 class PolyFamily:
@@ -96,6 +85,7 @@ class SubSeriesStore:
 
     def get(self, key: Hashable, order: int, build: Callable[[int], Sequence]) -> Sequence:
         """Entries ``0..order`` under ``key``, from ``build(order)`` if those stored end lower."""
+        read_count(order, "order")
         entry = self._entries.get(key)
         if entry is None or entry[0] < order:
             token = _STORE.set(self)
@@ -168,7 +158,7 @@ def _family(
     """The family whose egf is ``kernel * e_lambda^argument(t)``.
 
     ``e_lambda^0(t) = 1``, so at argument 0 the values are the kernel's own.
-    The builders normalise ``argument`` before they build the kernel.
+    The builders read ``argument`` and ``n_max`` before they build the kernel.
     """
     if argument == 0:
         gen = kernel
@@ -189,9 +179,9 @@ def genocchi_deg_order(
     r: int, argument: Argument, n_max: int, *, lam: MultiPoly = LAM
 ) -> PolyFamily:
     """Degenerate Genocchi polynomials of order r."""
-    if r < 1:
-        raise ValueError("order r must be at least 1")
-    argument = _norm_argument(argument)
+    read_count(r, "r", least=1)
+    argument = read_argument(argument)
+    read_count(n_max)
     # (2t/(e+1))^r, not t^r times the Euler kernel: Eq19 checks one against the other
     kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)) ** r
     return _family(kernel, argument, n_max, lam=lam)
@@ -201,9 +191,9 @@ def euler_deg_order(
     r: int, argument: Argument, n_max: int, *, lam: MultiPoly = LAM
 ) -> PolyFamily:
     """Degenerate Euler polynomials of order r."""
-    if r < 1:
-        raise ValueError("order r must be at least 1")
-    argument = _norm_argument(argument)
+    read_count(r, "r", least=1)
+    argument = read_argument(argument)
+    read_count(n_max)
     kernel = _two_over_exp_plus_one_power(r, n_max, lam=lam)
     return _family(kernel, argument, n_max, lam=lam)
 
@@ -212,7 +202,9 @@ def poly_genocchi_deg(
     k: int, argument: Argument, n_max: int, *, lam: MultiPoly = LAM
 ) -> PolyFamily:
     """Degenerate poly-Genocchi polynomials ``g_{n,lambda}^{(k)}(argument)``."""
-    argument = _norm_argument(argument)
+    index_tuple((k,))
+    argument = read_argument(argument)
+    read_count(n_max)
     num = _compose_with_log(deg_polyexp(k, n_max, lam=lam), lam=lam)
     kernel = num * _two_over_exp_plus_one_power(1, n_max, lam=lam)
     return _family(kernel, argument, n_max, lam=lam)
@@ -223,7 +215,8 @@ def multi_poly_genocchi_deg(
 ) -> PolyFamily:
     """Degenerate multi-poly-Genocchi polynomials for index list ``ks``."""
     ks = index_tuple(ks)
-    argument = _norm_argument(argument)
+    argument = read_argument(argument)
+    read_count(n_max)
 
     # the kernel does not depend on the argument: a memo builds it once per k-list
     def build(order: int) -> TruncatedSeries:

@@ -42,8 +42,9 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
-from typing import Iterable, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
@@ -352,19 +353,40 @@ def _key_text(key: int) -> str:
     return monomial_text(_unpack(key))
 
 
+def _digits_unlimited(convert: Callable, value, error: ValueError):
+    """``convert(value)`` again with CPython's int/str digit limit lifted, after ``error``.
+
+    Exact integers can pass the limit (4300 digits by default).  Where no
+    limit is set, ``error`` had another cause and is raised again.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        raise error
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def term_texts(p: MultiPoly) -> list[tuple[str, str]]:
     """``(monomial text, reduced coefficient text)`` per term, in canonical order.
 
     Canonical order is descending exponent triples, which is descending key
     order.  Each numerator is reduced against the common denominator on the
-    integers, giving the text ``str(Fraction(v, den))`` would give.
+    integers, giving the text ``str(Fraction(v, den))`` would give.  An
+    integer too long for ``str`` under CPython's digit limit renders in a
+    second pass with the limit lifted; the first pass pays nothing for it.
     """
     num, den = p.num, p.den
     out = []
-    for key in sorted(num, reverse=True):
-        v = num[key]
-        g = math.gcd(v, den)
-        out.append((_key_text(key), f"{v // g}" if g == den else f"{v // g}/{den // g}"))
+    try:
+        for key in sorted(num, reverse=True):
+            v = num[key]
+            g = math.gcd(v, den)
+            out.append((_key_text(key), f"{v // g}" if g == den else f"{v // g}/{den // g}"))
+    except ValueError as error:
+        return _digits_unlimited(term_texts, p, error)
     return out
 
 
@@ -393,6 +415,14 @@ _FACTOR_RE = re.compile(_FACTOR)
 _SIGNED_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
 
 
+def _parse_int(digits: str) -> int:
+    """``int(digits)`` for a run of ASCII digits, of any length."""
+    try:
+        return int(digits)
+    except ValueError as error:
+        return _digits_unlimited(int, digits, error)
+
+
 def parse_poly(text: str) -> MultiPoly:
     """Parse polynomial text, such as the canonical form, into a :class:`MultiPoly`.
 
@@ -413,11 +443,11 @@ def parse_poly(text: str) -> MultiPoly:
         for factor in term.split("*"):
             num, den, name, power = _FACTOR_RE.match(factor).groups()
             if name:
-                exps[_SYMBOL_INDEX[name]] += int(power or 1)
+                exps[_SYMBOL_INDEX[name]] += _parse_int(power or "1")
             elif den is None:
-                coeff *= int(num)
-            elif int(den):
-                coeff *= Fraction(int(num), int(den))
+                coeff *= _parse_int(num)
+            elif _parse_int(den):
+                coeff *= Fraction(_parse_int(num), _parse_int(den))
             else:
                 raise ValueError(f"zero denominator in polynomial text: {text!r}")
         key = (exps[0], exps[1], exps[2])

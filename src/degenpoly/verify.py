@@ -49,6 +49,8 @@ from .degen import (
     deg_polyexp,
     index_tuple,
     polyexp_modified,
+    read_argument,
+    read_count,
     stirling1_deg_recurrence,
 )
 from .families import PolyFamily
@@ -148,9 +150,11 @@ class FamilyMemo:
 
         The key holds the builder, so families that coincide mathematically
         (``poly_genocchi(k)`` and ``multi_poly_genocchi((k,))``) stay separate
-        entries and can be checked against each other.
+        entries and can be checked against each other.  The accessors pass
+        ``params`` as the ``degen`` readers return them and the argument is
+        read here, so a key holds exactly what its builder reads.
         """
-        params = (*params, families._norm_argument(argument))
+        params = (*params, read_argument(argument))
         values = self._store.get((builder, params), n_max, lambda n: builder(*params, n).values)
         return PolyFamily(values)
 
@@ -163,16 +167,18 @@ class FamilyMemo:
         return fam
 
     def poly_genocchi(self, k: int, argument, n_max: int) -> PolyFamily:
-        return self._family(families.poly_genocchi_deg, (k,), argument, n_max)
+        return self._family(families.poly_genocchi_deg, index_tuple((k,)), argument, n_max)
 
     def genocchi(self, argument, n_max: int) -> PolyFamily:
         """The order-1 Genocchi family, so it shares that entry of the store."""
         return self.genocchi_order(1, argument, n_max)
 
     def genocchi_order(self, r: int, argument, n_max: int) -> PolyFamily:
+        r = read_count(r, "r", least=1)
         return self._family(families.genocchi_deg_order, (r,), argument, n_max)
 
     def euler_order(self, r: int, argument, n_max: int) -> PolyFamily:
+        r = read_count(r, "r", least=1)
         return self._family(families.euler_deg_order, (r,), argument, n_max)
 
     def stirling(self, n_max: int) -> StirlingTable:
@@ -188,6 +194,7 @@ class FamilyMemo:
         The builder is looked up at each call, so a patched
         ``deg_falling_factorials`` reaches the stored lists.
         """
+        base = read_argument(base, weight=True)
         return self._store.get(("falling", base), n_max, partial(deg_falling_factorials, base))
 
     def chain_factors(self, ks, n_max: int) -> list[MultiPoly]:
@@ -295,9 +302,7 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
     ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     r = len(ks)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max < r:
+    if read_count(n_max) < r:
         return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), ())
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     # built at n_max + r, the order Eq19 asks for, so one build serves both
@@ -317,9 +322,7 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
     ks = index_tuple(ks)
     memo = memo or FamilyMemo()
     r = len(ks)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max < r:
+    if read_count(n_max) < r:
         return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), ())
     fam = memo.multi_poly_genocchi(ks, Fraction(r), n_max)
     # euler_mix[m] = sum_{l=0}^{r} C(r,l) (-1)^l 2^(r-l) E^(l)_m, order 0 giving delta_{m,0}
@@ -523,8 +526,7 @@ def run_identity(
     ``n_max`` still runs and may yield vacuous (zero-cell) reports.  An
     unknown identity or a negative ``n_max`` raises ``ValueError``.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    read_count(n_max)
     memo = memo or FamilyMemo()
     explicit = k_lists is not None
     lists = [tuple(ks) for ks in k_lists] if explicit else list(default_k_lists())

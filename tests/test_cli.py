@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from degenpoly.cli import FAMILIES, main
+from degenpoly.families import poly_genocchi_deg
 from degenpoly.poly import parse_poly
 from cli_subprocess import run_cli
 
@@ -212,6 +213,27 @@ def test_verify_exit_codes(tmp_path):
     assert bad.returncode == 1
     assert "FAILED" in bad.stdout
     assert "lhs:" in bad.stdout and "rhs:" in bad.stdout
+
+
+def test_tables_print_integers_past_the_int_str_digit_limit():
+    # k = 1500 puts n^1500 in the denominators, past CPython's 4300-digit
+    # int/str limit: a valid table all the same, so it exits 0
+    proc = run_cli("compute", "--family", "poly-genocchi", "--ks", "1500", "--n-max", "8")
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(proc.stdout)["records"]
+    assert max(len(coeff) for rec in records for _, coeff in rec["value_terms"]) > 4300
+    built = poly_genocchi_deg(1500, "x", 8).values
+    assert [parse_poly(rec["value"]) for rec in records] == list(built)
+
+
+def test_a_failed_identity_past_the_int_str_digit_limit_exits_1():
+    # its failing cells render coefficients past the limit; exit 1 must
+    # still mean a failed identity, not a usage error (2)
+    argv = ("verify", "--identity", "thm1", "--ks", "1500", "--n-max", "8")
+    assert run_cli(*argv).returncode == 0
+    bad = run_cli(*argv, "--corrupt")
+    assert bad.returncode == 1, bad.stderr
+    assert "FAILED" in bad.stdout and bad.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ series-division oracle (2t divided by e^t + 1) computed here in the test.
 """
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -83,18 +84,39 @@ def test_genocchi_order_rejects_order_zero():
         genocchi_deg_order(0, "x", 4)
 
 
+# each builder takes its inputs as keywords, valid by default; a case replaces one
 BUILDERS = {
-    "genocchi": lambda argument: genocchi_deg(argument, 14),
-    "genocchi_order": lambda argument: genocchi_deg_order(2, argument, 14),
-    "euler_order": lambda argument: euler_deg_order(2, argument, 14),
-    "poly": lambda argument: poly_genocchi_deg(2, argument, 14),
-    "multi": lambda argument: multi_poly_genocchi_deg((-1, 1, 2), argument, 14),
+    "genocchi": lambda argument="x", n_max=14: genocchi_deg(argument, n_max),
+    "genocchi_order": lambda argument="x", n_max=14, r=2: genocchi_deg_order(r, argument, n_max),
+    "euler_order": lambda argument="x", n_max=14, r=2: euler_deg_order(r, argument, n_max),
+    "poly": lambda argument="x", n_max=14, k=2: poly_genocchi_deg(k, argument, n_max),
+    "multi": lambda argument="x", n_max=14: multi_poly_genocchi_deg((-1, 1, 2), argument, n_max),
 }
+BAD_INPUTS = [
+    ("argument", "z", ValueError),
+    ("argument", True, TypeError),
+    ("n_max", True, TypeError),
+    ("r", True, TypeError),
+    ("r", 2.0, TypeError),
+    ("k", True, TypeError),
+    ("k", 2.0, TypeError),
+]
 
 
-@pytest.mark.parametrize("argument, error", [("z", ValueError), (True, TypeError)])
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-def test_bad_argument_raises_before_the_kernel_is_built(builder, argument, error, monkeypatch):
+def _bad_input_cases():
+    """(builder, {input: bad value}, error) for each input a builder takes."""
+    for name, build in sorted(BUILDERS.items()):
+        for slot, value, error in BAD_INPUTS:
+            if slot in inspect.signature(build).parameters:
+                label = value if slot == "argument" else f"{slot}={value}"
+                case_id = f"{name}-{label}-{error.__name__}"
+                yield pytest.param(name, {slot: value}, error, id=case_id)
+
+
+@pytest.mark.parametrize("builder, inputs, error", _bad_input_cases())
+def test_bad_argument_raises_before_the_kernel_is_built(builder, inputs, error, monkeypatch):
+    # a bool is never read as 0 or 1, and a float k or r fails before any
+    # kernel work, not deep in the arithmetic
     calls = []
     for name in ("deg_multi_polyexp", "deg_polyexp", "_two_over_exp_plus_one"):
         original = getattr(families, name)
@@ -105,7 +127,7 @@ def test_bad_argument_raises_before_the_kernel_is_built(builder, argument, error
 
         monkeypatch.setattr(families, name, spy)
     with pytest.raises(error):
-        BUILDERS[builder](argument)
+        BUILDERS[builder](**inputs)
     assert calls == []
 
 

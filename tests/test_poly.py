@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,22 @@ def test_parse_plain_forms():
     assert parse_poly("x - x") == ZERO
     assert parse_poly("3/2") == MultiPoly.const(Fraction(3, 2))
     assert parse_poly("lambda^2*x*y") == LAM**2 * X * Y
+
+
+def test_text_round_trip_past_the_int_str_digit_limit():
+    # CPython caps int/str conversion at 4300 digits by default, and exact
+    # coefficients can pass it: the text form must round-trip all the same
+    limit = sys.get_int_max_str_digits()
+    tiny = MultiPoly.const(Fraction(1, 10**5000))
+    wide = MultiPoly({(1, 2, 0): Fraction(-(3**9000), 7), (0, 0, 1): 5})
+    for p in (tiny, wide):
+        assert parse_poly(str(p)) == p
+    assert str(tiny) == "1/1" + "0" * 5000
+    assert sys.get_int_max_str_digits() == limit
+    # a text error other than the limit is still raised, and leaves it set
+    with pytest.raises(ValueError):
+        parse_poly("1/" + "0" * 5000)
+    assert sys.get_int_max_str_digits() == limit
 
 
 # the last five hold non-ASCII digits, which int() reads but the grammar does not

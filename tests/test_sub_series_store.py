@@ -156,13 +156,19 @@ def test_full_sweep_builds_no_order_beyond_what_it_reads(monkeypatch):
     assert builds[0] == (verify.EQ19_R_MAX, "x", 3 + verify.EQ19_R_MAX)
 
 
-def test_builder_raising_inside_a_memo_build_leaves_no_store_active():
-    # the order check sits inside the builder, so it raises while the store builds
+def test_builder_raising_inside_a_memo_build_leaves_no_store_active(monkeypatch):
+    # the memo reads every input before its store builds, so a sub-series
+    # build that fails stands in: it raises two store builds deep
+    def fail(order, *, lam):
+        raise RuntimeError("build failed")
+
     memo = FamilyMemo()
-    with pytest.raises(ValueError):
-        memo.genocchi_order(0, "x", 4)
+    monkeypatch.setattr(families, "_two_over_exp_plus_one", fail)
+    with pytest.raises(RuntimeError):
+        memo.genocchi_order(1, "x", 4)
     assert families._STORE.get() is None
-    assert memo.genocchi_order(1, "x", 4).values
+    monkeypatch.undo()
+    assert memo.genocchi_order(1, "x", 4) == families.genocchi_deg_order(1, "x", 4)
 
 
 def test_builder_that_raises_leaves_no_store_active():

@@ -10,6 +10,9 @@ the paper's numerator times ``e_lambda^x(t)``, with ``Ei_{(k_1..k_r),lambda}``
 summed over explicit chains ``0 < n_1 < ... < n_r``.  None of it goes
 through ``degenpoly``'s series or polynomial arithmetic.
 
+The degenerate Stirling numbers of the first kind are read off in sympy
+from their definition ``(x)_n = sum_k S_{1,lambda}(n, k) (x)_{k,lambda}``.
+
 The ``MultiPoly`` core itself (``*``, ``+`` and ``sum_of_products``) is
 checked against ``sympy.Poly`` over ``QQ[lambda, x, y]`` on a fixed set of
 trivariate polynomials.
@@ -25,7 +28,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from degenpoly import families
-from degenpoly.degen import deg_log, deg_polyexp
+from degenpoly.degen import deg_log, deg_polyexp, stirling1_deg_recurrence
 from degenpoly.poly import MultiPoly, parse_poly, sum_of_products
 from degenpoly.verify import FamilyMemo, default_k_lists
 
@@ -215,6 +218,30 @@ def test_chain_factors_are_the_composed_multi_polyexponential(ks):
     for m, factor in enumerate(factors):
         expected = composed.coeff_monomial(T**m) * math.factorial(m) / 2 ** len(ks)
         assert sympy.expand(to_sympy(factor) - expected) == 0, m
+
+
+def stirling1_by_basis_change(n):
+    """``S_{1,lambda}(n, k)`` for k = 0..n, the coordinates of ``(x)_n`` over ``(x)_{k,lambda}``.
+
+    ``(x)_n = x (x-1) ... (x-n+1)`` is expanded, and its top power of x
+    peeled off with one ``(x)_{k,lambda} = prod_{i<k} (x - i lambda)`` at a
+    time, from k = n down: the basis is monic of degree k.
+    """
+    rest = sympy.expand(sympy.prod([X - i for i in range(n)]))
+    coords = [sympy.Integer(0)] * (n + 1)
+    for k in range(n, -1, -1):
+        coords[k] = rest.coeff(X, k)
+        rest = sympy.expand(rest - coords[k] * sympy.prod([X - i * LAM for i in range(k)]))
+    assert rest == 0
+    return coords
+
+
+def test_stirling_triangle_matches_the_basis_change():
+    # only the recurrence's triangle comes from degenpoly
+    table = stirling1_deg_recurrence(N)
+    for n in range(N + 1):
+        for k, expected in enumerate(stirling1_by_basis_change(n)):
+            assert sympy.expand(to_sympy(table.value(n, k)) - expected) == 0, (n, k)
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-2)])

@@ -397,13 +397,80 @@ def test_non_int_indices_raise_type_error(build, ks):
         lambda argument: families.multi_poly_genocchi_deg((1, 2), argument, 4),
         lambda argument: FamilyMemo().genocchi(argument, 4),
         lambda argument: FamilyMemo().multi_poly_genocchi((1, 2), argument, 4),
+        lambda k: families.poly_genocchi_deg(k, "x", 4),
+        lambda r: families.genocchi_deg_order(r, "x", 4),
+        lambda n_max: families.euler_deg_order(2, "x", n_max),
+        lambda k: FamilyMemo().poly_genocchi(k, "x", 4),
+        lambda r: FamilyMemo().genocchi_order(r, "x", 4),
+        lambda n_max: FamilyMemo().euler_order(2, "x", n_max),
+        lambda weight: degen.deg_exp(weight, 4),
+        lambda base: degen.deg_falling_factorials(base, 4),
+        lambda base: FamilyMemo().falling_factorials(base, 4),
+        lambda k: degen.deg_polyexp(k, 4),
+        lambda k: degen.polyexp_modified(k, 4),
+        lambda n: degen.classical_falling_factorial(n),
+        lambda n_max: degen.stirling1_deg_recurrence(n_max),
+        lambda n_max: check_corollary2((1, 2), n_max),
+        lambda n_max: check_theorem3((1, 2), n_max),
+        lambda n_max: run_identity("thm1", n_max),
     ],
-    ids=["genocchi_deg", "multi_poly_genocchi_deg", "memo.genocchi", "memo.multi_poly_genocchi"],
+    ids=[
+        "genocchi_deg",
+        "multi_poly_genocchi_deg",
+        "memo.genocchi",
+        "memo.multi_poly_genocchi",
+        "poly_genocchi_deg.k",
+        "genocchi_deg_order.r",
+        "euler_deg_order.n_max",
+        "memo.poly_genocchi.k",
+        "memo.genocchi_order.r",
+        "memo.euler_order.n_max",
+        "deg_exp.weight",
+        "deg_falling_factorials.base",
+        "memo.falling_factorials.base",
+        "deg_polyexp.k",
+        "polyexp_modified.k",
+        "classical_falling_factorial.n",
+        "stirling1_deg_recurrence.n_max",
+        "check_corollary2.n_max",
+        "check_theorem3.n_max",
+        "run_identity.n_max",
+    ],
 )
 def test_bool_argument_raises_type_error(build, argument):
-    # each used to read True as the argument 1 and False as 0
+    # no reader takes True as 1 or False as 0: not an argument, a weight or
+    # base, an index k, an order r or an n_max
     with pytest.raises(TypeError):
         build(argument)
+
+
+@pytest.mark.parametrize(
+    "accessor, stored, bad",
+    [("euler_order", 1, 1.0), ("genocchi_order", 1, True), ("poly_genocchi", 1, True)],
+)
+def test_memo_rejects_a_bool_or_float_input_whether_or_not_it_holds_the_int(accessor, stored, bad):
+    # 1.0 == True == 1 with equal hashes, so a key holding r or k as given
+    # would serve the int's entry to them once it is stored
+    fresh, warm = FamilyMemo(), FamilyMemo()
+    getattr(warm, accessor)(stored, "x", 4)
+    for memo in (fresh, warm):
+        with pytest.raises(TypeError):
+            getattr(memo, accessor)(bad, "x", 4)
+
+
+def test_memo_rejects_a_bool_order_after_a_build():
+    # True < 6, so a store that did not read the order would serve its prefix
+    memo = FamilyMemo()
+    memo.euler_order(2, "x", 6)
+    memo.falling_factorials("x", 6)
+    memo.stirling(6)
+    for call in (
+        lambda: memo.euler_order(2, "x", True),
+        lambda: memo.falling_factorials("x", True),
+        lambda: memo.stirling(True),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_basics_build_each_base_series_once(monkeypatch):
