@@ -34,7 +34,6 @@ from .poly import (
     ZERO,
     MultiPoly,
     monomial_text,
-    parse_poly,
     render_poly,
 )
 from .series import TruncatedSeries
@@ -58,7 +57,6 @@ from .verify import (
 __all__ = [
     "__version__",
     "MultiPoly",
-    "parse_poly",
     "render_poly",
     "monomial_text",
     "LAM",

@@ -260,8 +260,6 @@ def _entries(built):
 
 
 def cmd_compute(args) -> int:
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
     family = args.family
     module, builder, inputs, family_id = FAMILIES[family]
     lam_value = None if args.lam == "sym" else _parse_rational(args.lam, "--lambda")
@@ -362,8 +360,6 @@ def _fmt_param(value) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
     if args.identity == "basics" and (args.ks != "sweep" or args.r is not None):
         raise ValueError("--identity basics takes no --ks or --r")
     r_filter = _parse_r_filter(args.r) if args.r is not None else None
@@ -415,6 +411,8 @@ def cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.n_max < 0:  # both subcommands take --n-max
+        parser.error("--n-max must be nonnegative")
     try:
         return args.func(args)
     except ValueError as exc:  # each usage error past argparse's own

@@ -94,6 +94,7 @@ def deg_exp(weight: Argument, order: int, *, lam: MultiPoly = LAM) -> TruncatedS
 
     The ordinary coefficient at t^n is ``(weight)_{n,lambda} / n!``.
     """
+    read_count(order, "order")
     b = _base_poly(weight)
     coeffs = []
     prod = ONE
@@ -114,6 +115,7 @@ def deg_log(order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     series collapses to ``log(1 + t)``.  Satisfies
     ``e_lambda(log_lambda(1 + t)) = 1 + t`` exactly.
     """
+    read_count(order, "order")
     coeffs: list[MultiPoly] = [ZERO]
     prod = ONE
     fact = 1
@@ -175,6 +177,7 @@ def polyexp_modified(k: int, order: int) -> TruncatedSeries:
 
     ``Ei_1(t) = e^t - 1``.
     """
+    read_count(order, "order")
     index_tuple((k,))
     coeffs: list[MultiPoly] = [ZERO]
     for n in range(1, order + 1):
@@ -190,6 +193,7 @@ def deg_polyexp(k: int, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     The coefficient at t^n (n >= 1) is ``(1)_{n,lambda} / ((n-1)! n^k)``;
     ``Ei_{1,lambda}(t) = e_lambda(t) - 1``.
     """
+    read_count(order, "order")
     index_tuple((k,))
     coeffs: list[MultiPoly] = [ZERO]
     prod = ONE

@@ -26,13 +26,13 @@ bit, clear in every stored key.  Two fields below the limit sum to at most
 field's guard bit exactly when the exponent passes the limit:
 :func:`sum_of_products` then raises ``OverflowError`` rather than wrap.  The
 public interface speaks in exponent triples ``(a, b, c)``:
-``MultiPoly(terms)`` and :func:`parse_poly` take them (anything else raises
-``ValueError``), and ``terms`` and :meth:`MultiPoly.evaluate` give them back.
+``MultiPoly(terms)`` takes them (anything else raises ``ValueError``), and
+``terms`` gives them back.
 
 The canonical text form orders monomials by descending exponent triple
 (lambda weighs more than x, x more than y), which is descending key order,
-and is read back exactly by :func:`parse_poly`, e.g.
-``lambda^2 - 3*lambda + 2`` or ``3/2*lambda + x^2``.  Scalars are ``int`` or
+e.g. ``lambda^2 - 3*lambda + 2`` or ``3/2*lambda + x^2``.  The package
+writes this text and never reads it back.  Scalars are ``int`` or
 ``Fraction``; any other scalar, a float or a string included, raises
 ``TypeError``.
 """
@@ -41,17 +41,15 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, TypeVar, Union
+from typing import Iterable, Mapping, TypeVar, Union
 
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
 R = TypeVar("R")  # a ring element: a polynomial or a truncated series
 
 SYMBOLS = ("lambda", "x", "y")
-_SYMBOL_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 
 # the packed monomial key: one 20-bit field per symbol, lambda highest
 MAX_EXPONENT = 2**19 - 1
@@ -255,15 +253,6 @@ class MultiPoly:
             out[rest] = get(rest, 0) + v * scale
         return _canonical(out, self.den * q**top)
 
-    def evaluate(self, lam: Scalar, x: Scalar, y: Scalar = 0) -> Fraction:
-        """Evaluate at exact rational points."""
-        lam, x, y = _fraction(lam), _fraction(x), _fraction(y)
-        total = Fraction(0)
-        for key, v in self.num.items():
-            a, b, c = _unpack(key)
-            total += v * lam**a * x**b * y**c
-        return total / self.den
-
     def coeff_x(self, power: int) -> "MultiPoly":
         """Coefficient of x**power, as a polynomial in lambda and y."""
         x_field = _FIELD << 20
@@ -353,30 +342,16 @@ def _key_text(key: int) -> str:
     return monomial_text(_unpack(key))
 
 
-def _digits_unlimited(convert: Callable, value, error: ValueError):
-    """``convert(value)`` again with CPython's int/str digit limit lifted, after ``error``.
-
-    Exact integers can pass the limit (4300 digits by default).  Where no
-    limit is set, ``error`` had another cause and is raised again.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        raise error
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def term_texts(p: MultiPoly) -> list[tuple[str, str]]:
     """``(monomial text, reduced coefficient text)`` per term, in canonical order.
 
     Canonical order is descending exponent triples, which is descending key
     order.  Each numerator is reduced against the common denominator on the
-    integers, giving the text ``str(Fraction(v, den))`` would give.  An
-    integer too long for ``str`` under CPython's digit limit renders in a
-    second pass with the limit lifted; the first pass pays nothing for it.
+    integers, giving the text ``str(Fraction(v, den))`` would give.  Exact
+    integers can pass CPython's int/str digit limit (4300 digits by default):
+    such a polynomial renders in a second pass with the limit lifted, and the
+    first pass pays nothing for it.  Where no limit is set, the error had
+    another cause and is raised again.
     """
     num, den = p.num, p.den
     out = []
@@ -385,8 +360,15 @@ def term_texts(p: MultiPoly) -> list[tuple[str, str]]:
             v = num[key]
             g = math.gcd(v, den)
             out.append((_key_text(key), f"{v // g}" if g == den else f"{v // g}/{den // g}"))
-    except ValueError as error:
-        return _digits_unlimited(term_texts, p, error)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return term_texts(p)
+        finally:
+            sys.set_int_max_str_digits(limit)
     return out
 
 
@@ -404,52 +386,3 @@ def render_terms(texts: list[tuple[str, str]]) -> str:
 def render_poly(p: MultiPoly) -> str:
     """Render to the canonical text form (``0`` for the zero polynomial)."""
     return render_terms(term_texts(p))
-
-
-# The grammar of parse_poly.  Whitespace is matched only before a token and at
-# the end: no two \s* are adjacent, so a rejected text fails in linear time.
-_FACTOR = r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|(lambda|x|y)(?:\s*\^\s*([0-9]+))?)"
-_TERM = rf"{_FACTOR}(?:\s*\*{_FACTOR})*"
-_POLY_RE = re.compile(rf"(?:\s*[+-])?{_TERM}(?:\s*[+-]{_TERM})*\s*")
-_FACTOR_RE = re.compile(_FACTOR)
-_SIGNED_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
-
-
-def _parse_int(digits: str) -> int:
-    """``int(digits)`` for a run of ASCII digits, of any length."""
-    try:
-        return int(digits)
-    except ValueError as error:
-        return _digits_unlimited(int, digits, error)
-
-
-def parse_poly(text: str) -> MultiPoly:
-    """Parse polynomial text, such as the canonical form, into a :class:`MultiPoly`.
-
-    The grammar: terms joined by ``+`` / ``-``, the first with an optional
-    sign; each term a ``*``-product of factors ``INT``, ``INT/INT``, a symbol
-    (``lambda``, ``x``, ``y``) or ``symbol^INT``; whitespace before any token
-    and at the end.  Factors multiply and equal monomials add, so ``2*3*x``,
-    ``x*x`` and ``+ x`` parse too.  Any other text, a zero denominator or an
-    exponent past ``MAX_EXPONENT`` (even under a zero coefficient) raises
-    ``ValueError``.
-    """
-    if not _POLY_RE.fullmatch(text):
-        raise ValueError(f"not a polynomial in canonical text form: {text!r}")
-    terms: dict[Exponents, Fraction] = {}
-    for sign, term in _SIGNED_TERM_RE.findall(text.strip()):
-        coeff = Fraction(-1 if sign == "-" else 1)
-        exps = [0, 0, 0]
-        for factor in term.split("*"):
-            num, den, name, power = _FACTOR_RE.match(factor).groups()
-            if name:
-                exps[_SYMBOL_INDEX[name]] += _parse_int(power or "1")
-            elif den is None:
-                coeff *= _parse_int(num)
-            elif _parse_int(den):
-                coeff *= Fraction(_parse_int(num), _parse_int(den))
-            else:
-                raise ValueError(f"zero denominator in polynomial text: {text!r}")
-        key = (exps[0], exps[1], exps[2])
-        terms[key] = terms.get(key, 0) + coeff
-    return MultiPoly(terms)

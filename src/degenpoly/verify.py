@@ -375,6 +375,7 @@ EQ19_R_MAX = 3
 
 def check_eq19(n_max: int, r_max: int = EQ19_R_MAX, memo: FamilyMemo | None = None) -> VerifyReport:
     """Order-r Euler against order-r Genocchi: r! C(n+r,n) E^(r)_n = G^(r)_{n+r}."""
+    read_count(r_max, "r_max", least=1)
     memo = memo or FamilyMemo()
     cells = []
     for r in range(1, r_max + 1):

@@ -3,8 +3,14 @@
 This is the arithmetic core that ``degenpoly.poly`` used before it stored
 integer numerators over one common denominator, kept unchanged so that
 ``tests/test_poly_differential.py`` can check the two against each other.
-Its one later edit: the tokenizer reads ASCII digits only, as
-``degenpoly.poly.parse_poly`` does.
+Its one later edit: the tokenizer reads ASCII digits only, as the CLI's
+number flags do.
+
+:func:`parse_poly` is the one reader of polynomial text in the project: the
+package writes its canonical text and never reads it, so every test that
+reads an output back goes through this token walk, a separate algorithm
+from the package's renderer.  Integers past CPython's int/str digit limit
+need the limit lifted around the call.
 
 A polynomial is stored as a mapping from exponent triples ``(a, b, c)``,
 standing for ``lambda^a * x^b * y^c``, to nonzero rational coefficients.
@@ -15,6 +21,7 @@ equality of polynomials.  The zero polynomial is the empty map.
 The canonical text form orders monomials by descending exponent triple
 (lambda weighs more than x, x more than y) and is read back exactly by
 :func:`parse_poly`, e.g. ``lambda^2 - 3*lambda + 2`` or ``3/2*lambda + x^2``.
+A zero denominator in the text raises ``ZeroDivisionError`` from ``Fraction``.
 """
 
 from __future__ import annotations

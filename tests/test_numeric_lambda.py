@@ -15,9 +15,10 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_poly as ref
 from degenpoly import cli
 from degenpoly.cli import FAMILIES, main
-from degenpoly.poly import MultiPoly, parse_poly, render_terms, term_texts
+from degenpoly.poly import MultiPoly, render_terms, term_texts
 
 LAMBDAS = (Fraction(0), Fraction(1, 2), Fraction(-2), Fraction(3, 7))
 N = 7
@@ -79,7 +80,8 @@ def test_compute_at_lambda_renders_the_substituted_symbolic_table(family, capsys
         payload["meta"]["lambda"] = lam
         for record in payload["records"]:
             record["params"]["lambda"] = lam
-            value = parse_poly(record["value"]).substitute("lambda", Fraction(lam))
+            symbolic_value = MultiPoly(ref.parse_poly(record["value"]).terms)
+            value = symbolic_value.substitute("lambda", Fraction(lam))
             texts = term_texts(value)
             record["value"] = render_terms(texts)
             record["value_terms"] = [list(pair) for pair in texts]

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, canonical rendering, and the parser."""
+"""Polynomial arithmetic and canonical rendering, read back by the oracle's parser."""
 
 import math
 import random
@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_poly as ref
 from degenpoly.poly import (
     LAM,
     MAX_EXPONENT,
@@ -16,7 +17,6 @@ from degenpoly.poly import (
     ZERO,
     MultiPoly,
     monomial_text,
-    parse_poly,
     render_poly,
 )
 
@@ -27,6 +27,11 @@ def rand_poly(rng: random.Random, max_terms: int = 5) -> MultiPoly:
         exps = (rng.randrange(3), rng.randrange(3), rng.randrange(2))
         terms[exps] = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
     return MultiPoly(terms)
+
+
+def read_poly(text: str) -> MultiPoly:
+    """Polynomial text read back by the oracle's parser, the one reader of the output."""
+    return MultiPoly(ref.parse_poly(text).terms)
 
 
 def test_canonicalization_drops_zeros():
@@ -119,7 +124,9 @@ def test_substitute_and_evaluate():
     assert p.substitute("x", 0) == -Y + Fraction(1, 3)
     q = p.substitute("lambda", Fraction(1, 2))
     assert q.degree("lambda") == 0
-    assert p.evaluate(2, 3, 1) == Fraction(2 * 9 - 1) + Fraction(1, 3)
+    point = p.substitute("lambda", 2).substitute("x", 3).substitute("y", 1)
+    expected = ref.MultiPoly(p.terms).evaluate(2, 3, 1)
+    assert point == expected == Fraction(2 * 9 - 1) + Fraction(1, 3)
     with pytest.raises(ValueError):
         p.substitute("t", 1)
 
@@ -168,33 +175,34 @@ def test_parse_round_trip_random():
     for _ in range(120):
         p = rand_poly(rng)
         text = render_poly(p)
-        assert parse_poly(text) == p, text
+        assert read_poly(text) == p, text
 
 
 def test_parse_plain_forms():
-    assert parse_poly("0") == ZERO
-    assert parse_poly("-x") == -X
-    assert parse_poly("2*x*x") == 2 * X**2
-    assert parse_poly("x + x") == 2 * X
-    assert parse_poly("x - x") == ZERO
-    assert parse_poly("3/2") == MultiPoly.const(Fraction(3, 2))
-    assert parse_poly("lambda^2*x*y") == LAM**2 * X * Y
+    # the round trips rest on the oracle reader: it reads the plain forms
+    assert read_poly("0") == ZERO
+    assert read_poly("-x") == -X
+    assert read_poly("2*x*x") == 2 * X**2
+    assert read_poly("x + x") == 2 * X
+    assert read_poly("x - x") == ZERO
+    assert read_poly("3/2") == MultiPoly.const(Fraction(3, 2))
+    assert read_poly("lambda^2*x*y") == LAM**2 * X * Y
 
 
 def test_text_round_trip_past_the_int_str_digit_limit():
     # CPython caps int/str conversion at 4300 digits by default, and exact
-    # coefficients can pass it: the text form must round-trip all the same
+    # coefficients can pass it: the text form must render all the same
     limit = sys.get_int_max_str_digits()
     tiny = MultiPoly.const(Fraction(1, 10**5000))
     wide = MultiPoly({(1, 2, 0): Fraction(-(3**9000), 7), (0, 0, 1): 5})
-    for p in (tiny, wide):
-        assert parse_poly(str(p)) == p
-    assert str(tiny) == "1/1" + "0" * 5000
+    texts = [str(tiny), str(wide)]
+    assert texts[0] == "1/1" + "0" * 5000
     assert sys.get_int_max_str_digits() == limit
-    # a text error other than the limit is still raised, and leaves it set
-    with pytest.raises(ValueError):
-        parse_poly("1/" + "0" * 5000)
-    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)  # the oracle's int() reads the long integers
+    try:
+        assert [read_poly(text) for text in texts] == [tiny, wide]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # the last five hold non-ASCII digits, which int() reads but the grammar does not
@@ -204,8 +212,10 @@ def test_text_round_trip_past_the_int_str_digit_limit():
     + ["\u0663", "x^\u0662", "\u0661/2", "1/\u0662", "\uff13*x"],
 )
 def test_parse_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        parse_poly(bad)
+    # the oracle reader is strict, so a round trip cannot pass on a misread;
+    # it has no zero-denominator check of its own and lets Fraction raise
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        ref.parse_poly(bad)
 
 
 @pytest.mark.parametrize(
@@ -221,21 +231,6 @@ def test_malformed_exponents_are_rejected_at_construction(exps):
         MultiPoly({exps: 0})
 
 
-def test_parse_rejects_an_exponent_past_the_bound():
-    assert parse_poly(f"x^{2**19 - 1}").degree("x") == 2**19 - 1
-    with pytest.raises(ValueError):
-        parse_poly(f"x^{2**19}")
-    with pytest.raises(ValueError):
-        parse_poly(f"x^{2**18}*x^{2**18}")
-
-
-def test_parse_rejects_a_past_bound_exponent_under_a_zero_coefficient():
-    with pytest.raises(ValueError):
-        parse_poly(f"0*x^{2**19}")
-    with pytest.raises(ValueError):
-        parse_poly(f"x^{2**19} - x^{2**19}")
-
-
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", None, 1j])
 def test_non_rational_scalars_raise_type_error(bad):
     # "no floating point appears anywhere": const(0.1) used to give
@@ -246,10 +241,6 @@ def test_non_rational_scalars_raise_type_error(bad):
         MultiPoly({(0, 1, 0): bad})
     with pytest.raises(TypeError):
         X.substitute("x", bad)
-    with pytest.raises(TypeError):
-        X.evaluate(bad, 1)
-    with pytest.raises(TypeError):
-        X.evaluate(1, bad)
     with pytest.raises(TypeError):
         X + bad
     with pytest.raises(TypeError):

@@ -29,7 +29,7 @@ sympy = pytest.importorskip("sympy")
 
 from degenpoly import families
 from degenpoly.degen import deg_log, deg_polyexp, stirling1_deg_recurrence
-from degenpoly.poly import MultiPoly, parse_poly, sum_of_products
+from degenpoly.poly import MultiPoly, sum_of_products
 from degenpoly.verify import FamilyMemo, default_k_lists
 
 N = 8
@@ -102,14 +102,15 @@ def to_qq_poly(p):
 
 
 # zero, a constant, mixed and coprime denominators, negative and cancelling terms
+P_LAM, P_X, P_Y = (MultiPoly.sym(name) for name in ("lambda", "x", "y"))
 CORE_POLYS = [
     MultiPoly(),
     MultiPoly.const(Fraction(-7, 4)),
-    parse_poly("lambda^2 - 3*lambda + 2"),
-    parse_poly("3/2*lambda*x - 1/3*y^2 + 5/7"),
-    parse_poly("-lambda^3*x*y + 2/5*x^2 - 11/6*y + 1/4"),
-    parse_poly("x^3 - 3*x^2*y + 3*x*y^2 - y^3"),
-    parse_poly("1/2*lambda + 1/2*x - 1/2*y - 1/2"),
+    P_LAM**2 - 3 * P_LAM + 2,
+    Fraction(3, 2) * P_LAM * P_X - Fraction(1, 3) * P_Y**2 + Fraction(5, 7),
+    -(P_LAM**3) * P_X * P_Y + Fraction(2, 5) * P_X**2 - Fraction(11, 6) * P_Y + Fraction(1, 4),
+    P_X**3 - 3 * P_X**2 * P_Y + 3 * P_X * P_Y**2 - P_Y**3,
+    Fraction(1, 2) * (P_LAM + P_X - P_Y - 1),
 ]
 CORE_PAIRS = list(itertools.product(range(len(CORE_POLYS)), repeat=2))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_poly as ref
 from fraction_chain_factors import chain_factors as fraction_chain_factors
 from degenpoly import cli, degen, families, verify
 from degenpoly.degen import deg_multi_polyexp, stirling1_deg_recurrence
@@ -133,6 +134,18 @@ def test_corrupt_failure_carries_both_sides():
     assert cell.lhs != cell.rhs
     d = cli._report_json(report)["cells"][report.cells.index(cell)]
     assert d["passed"] is False and "lhs" in d and "rhs" in d
+
+
+def test_failed_cell_sides_read_back_as_the_compared_values():
+    # a failed cell's text is all its reader gets: read back by the oracle's
+    # parser, lhs is the corrupted g_4 and rhs the g_4 of a clean memo
+    corrupt = FamilyMemo(corrupt=True)
+    report = check_theorem1((1, 2), 4, corrupt)
+    [cell] = [cell for cell in report.cells if not cell.passed]
+    assert cell.params == (("n", 4),)
+    lhs, rhs = (MultiPoly(ref.parse_poly(text).terms) for text in (cell.lhs, cell.rhs))
+    assert lhs == corrupt.multi_poly_genocchi((1, 2), "x", 4).values[4]
+    assert rhs == FamilyMemo().multi_poly_genocchi((1, 2), "x", 4).values[4]
 
 
 def test_passing_cell_omits_sides():
@@ -413,6 +426,11 @@ def test_non_int_indices_raise_type_error(build, ks):
         lambda n_max: check_corollary2((1, 2), n_max),
         lambda n_max: check_theorem3((1, 2), n_max),
         lambda n_max: run_identity("thm1", n_max),
+        lambda r_max: check_eq19(4, r_max),
+        lambda order: degen.deg_exp("x", order),
+        lambda order: degen.deg_log(order),
+        lambda order: degen.deg_polyexp(1, order),
+        lambda order: degen.polyexp_modified(1, order),
     ],
     ids=[
         "genocchi_deg",
@@ -435,13 +453,24 @@ def test_non_int_indices_raise_type_error(build, ks):
         "check_corollary2.n_max",
         "check_theorem3.n_max",
         "run_identity.n_max",
+        "check_eq19.r_max",
+        "deg_exp.order",
+        "deg_log.order",
+        "deg_polyexp.order",
+        "polyexp_modified.order",
     ],
 )
 def test_bool_argument_raises_type_error(build, argument):
     # no reader takes True as 1 or False as 0: not an argument, a weight or
-    # base, an index k, an order r or an n_max
+    # base, an index k, an order r, a series order, r_max or an n_max
     with pytest.raises(TypeError):
         build(argument)
+
+
+def test_eq19_with_no_order_raises_value_error():
+    # r_max = 0 would check no order at all and pass as a vacuous report
+    with pytest.raises(ValueError, match="r_max must be at least 1"):
+        check_eq19(4, 0)
 
 
 @pytest.mark.parametrize(
