@@ -230,6 +230,7 @@ def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) ->
     per index using prefix sums over the previous level.
     """
     ks = index_tuple(ks)
+    order = read_count(order, "order")
     ones = deg_falling_factorials(1, order, lam=lam)
     level: list[MultiPoly] | None = None
     for k in ks:

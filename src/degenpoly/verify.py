@@ -110,6 +110,13 @@ def _binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int
     return sum_of_products((math.comb(n, l), a[l], b[n - l]) for l in ls)
 
 
+def _binomial_convolutions(
+    a: Sequence[MultiPoly], b: Sequence[MultiPoly], n_max: int
+) -> list[MultiPoly]:
+    """:func:`_binomial_convolution` of ``a`` and ``b`` at each n = 0..n_max."""
+    return [_binomial_convolution(a, b, n) for n in range(n_max + 1)]
+
+
 class FamilyMemo:
     """Caches family constructions and sub-series shared between checkers.
 
@@ -120,9 +127,12 @@ class FamilyMemo:
     series do not depend on where it is cut; each accessor wraps what it
     is served in its own type.  The same holds for the chain
     products per r and the chain factors per k-list that Thm1, Cor2 and
-    Thm3 share, and for the ``(x)_{m,lambda}`` and ``(y)_{m,lambda}`` bases
-    of Eq15 and Prop4, which come from :func:`deg_falling_factorials` and
-    never from the ``e_lambda^x(t)`` series those checkers compare.  A
+    Thm3 share, for the right sides of Thm1 and Cor2 per k-list, kept next
+    to the list they were convolved from (:meth:`chain_convolutions`), and
+    for the ``(x)_{m,lambda}``, ``(y)_{m,lambda}`` and ``(1)_{m,lambda}``
+    bases of Eq15, Prop4 and the chain factors, which come from
+    :func:`deg_falling_factorials` and never from the ``e_lambda^x(t)``
+    series those checkers compare.  A
     store is active while it builds an entry, so the family builders the
     memo calls share their sub-series through it too
     (``2/(e_lambda(t)+1)`` and its powers, the powers of
@@ -204,38 +214,76 @@ class FamilyMemo:
         def build(n: int) -> list[MultiPoly]:
             r = len(ks)
             products = self._store.get(("chain products", r), n, partial(_chain_products, r))
-            return _chain_factors(ks, self.stirling(n), products)
+            return _chain_factors(ks, self.stirling(n), products, self.falling_factorials(1, n))
 
         return self._store.get(("chain factors", ks), n_max, build)
 
+    def chain_convolutions(self, ks, a: Sequence[MultiPoly], n_max: int) -> list[MultiPoly]:
+        """``sum_l C(n,l) a[l] f[n-l]`` for n = 0..n_max, ``f`` the chain factors of ``ks``.
+
+        These are the right sides of Thm1 (``a`` the order-r Euler values)
+        and Cor2 (``a`` the Eq19-rescaled order-r Genocchi values), and
+        ``a`` holds n_max + 1 values.  The first request for a k-list stores
+        them next to its ``a``; a later request whose ``a`` equals the
+        stored prefix exactly is served the stored right sides, so Cor2
+        convolves nothing after Thm1 wherever Eq19 holds.  A request whose
+        ``a`` differs convolves its own and stores nothing.
+        """
+        ks = index_tuple(ks)
+
+        def convolve(n: int) -> list[MultiPoly]:
+            return _binomial_convolutions(a, self.chain_factors(ks, n), n)
+
+        stored = self._store.get(
+            ("chain convolutions", ks), n_max, lambda n: list(zip(a, convolve(n), strict=True))
+        )
+        if [value for value, _ in stored] == list(a):
+            return [rhs for _, rhs in stored]
+        return convolve(n_max)
+
 
 def _chain_products(r: int, n_max: int) -> list[list[tuple[tuple[int, ...], MultiPoly]]]:
-    """Chain products: ``products[top]`` lists each chain ``0 < n_1 < ... < n_r = top``
-    with its product ``prod_i (1)_{n_i,lambda}``.
+    """Chain products below the top: ``products[top]`` lists each chain
+    ``0 < n_1 < ... < n_r = top`` with ``prod_{i<r} (1)_{n_i,lambda}``, the
+    product over ``chain[:-1]``.
 
     The chains are enumerated one by one, apart from the dynamic programme
-    of ``deg_multi_polyexp`` that the families are built from.
+    of ``deg_multi_polyexp`` that the families are built from.  Each
+    chain's product is one product of ``(1)_{n_i,lambda}`` over its prefix,
+    built once from the product over that prefix's own prefix and shared
+    by every chain that starts with it; :func:`_chain_factors` multiplies
+    ``(1)_{top,lambda}`` into each top's chain sum once.
     """
     ones = deg_falling_factorials(1, n_max)
+    below: dict[tuple[int, ...], MultiPoly] = {(): ONE}
+
+    def product(head: tuple[int, ...]) -> MultiPoly:
+        if head not in below:
+            below[head] = product(head[:-1]) * ones[head[-1]]
+        return below[head]
+
     products: list[list] = [[] for _ in range(n_max + 1)]
     for chain in itertools.combinations(range(1, n_max + 1), r):
-        prod = ones[chain[-1]]
-        for n_i in chain[:-1]:
-            prod = prod * ones[n_i]
-        products[chain[-1]].append((chain, prod))
+        products[chain[-1]].append((chain, product(chain[:-1])))
     return products
 
 
 def _chain_factors(
-    ks: Sequence[int], stirling: StirlingTable, products: Sequence[Sequence]
+    ks: Sequence[int],
+    stirling: StirlingTable,
+    products: Sequence[Sequence],
+    ones: Sequence[MultiPoly],
 ) -> list[MultiPoly]:
     """Chain sums shared by Thm1/Cor2/Thm3 right-hand sides.
 
     ``factors[j]`` is the sum over chains ``0 < n_1 < ... < n_r <= j`` of
     ``prod_i (1)_{n_i,lambda} * S_{1,lambda}(j, n_r)`` divided by
     ``(n_1-1)! ... (n_{r-1}-1)! * n_1^{k_1} ... n_{r-1}^{k_{r-1}} * n_r^{k_r - 1}``.
-    ``products`` are the chain products of :func:`_chain_products` for
-    ``r = len(ks)``, up to ``stirling.n_max``.
+    ``products`` are the chain products below the top of
+    :func:`_chain_products` for ``r = len(ks)`` and ``ones`` the
+    ``(1)_{m,lambda}``, both up to ``stirling.n_max``.  Each chain keeps its
+    own term; ``(1)_{top,lambda}``, common to a top's chains, multiplies
+    their sum once.
     """
     def weight(chain: tuple[int, ...]) -> tuple[int, int]:
         """One over the chain's divisor above, as integers ``(numerator, denominator)``."""
@@ -249,32 +297,31 @@ def _chain_factors(
             den *= math.factorial(n_i - 1)
         return num, den
 
-    def chain_sum(chains: Sequence) -> MultiPoly:
+    def chain_sum(top: int, chains: Sequence) -> MultiPoly:
         # integer weights over the chains' common denominator, divided out once
         weights = [weight(chain) for chain, _ in chains]
         common = math.lcm(*(den for _, den in weights))
         terms = (
             (num * (common // den), prod, ONE) for (num, den), (_, prod) in zip(weights, chains)
         )
-        return sum_of_products(terms) * Fraction(1, common)
+        return sum_of_products(terms) * Fraction(1, common) * ones[top]
 
-    by_top = [chain_sum(chains) for chains in products]
+    by_top = [chain_sum(top, chains) for top, chains in enumerate(products)]
     return [
         sum_of_products((1, by_top[top], stirling.value(j, top)) for top in range(1, j + 1))
         for j in range(stirling.n_max + 1)
     ]
 
 
-def _convolution_cells(lhs, a, b, n_lo: int) -> list[VerifyCell]:
-    """``lhs[n]`` against ``sum_l C(n,l) a[l] b[n-l]``, one cell per n from n_lo to the end of lhs.
+def _convolution_cells(lhs, rhs, n_lo: int) -> list[VerifyCell]:
+    """``lhs[n]`` against ``rhs[n]``, one cell per n from n_lo to the end of lhs.
 
-    Thm1, Cor2, Thm3, Prop4 and Eq15 all have this shape; each checker
-    builds its ``lhs``, ``a`` and ``b`` along routes of its own.
+    Thm1, Cor2, Thm3, Prop4 and Eq15 all check ``lhs[n]`` against a
+    binomial convolution ``sum_l C(n,l) a[l] b[n-l]`` (the ``rhs``, from
+    :func:`_binomial_convolutions` or :meth:`FamilyMemo.chain_convolutions`);
+    each checker builds its ``lhs``, ``a`` and ``b`` along routes of its own.
     """
-    return [
-        _cell((("n", n),), lhs[n], _binomial_convolution(a, b, n))
-        for n in range(n_lo, len(lhs))
-    ]
+    return [_cell((("n", n),), lhs[n], rhs[n]) for n in range(n_lo, len(lhs))]
 
 
 def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
@@ -284,6 +331,7 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
     surfaces as extra failing cells only when violated.
     """
     ks = index_tuple(ks)
+    read_count(n_max)
     memo = memo or FamilyMemo()
     r = len(ks)
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
@@ -293,7 +341,7 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
             cells.append(_cell((("clause", "vanishing"), ("n", n)), fam.values[n], ZERO))
     if n_max >= r:
         euler = memo.euler_order(r, "x", n_max).values
-        cells += _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r)
+        cells += _convolution_cells(fam.values, memo.chain_convolutions(ks, euler, n_max), r)
     return VerifyReport("Thm1", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -307,13 +355,14 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     # built at n_max + r, the order Eq19 asks for, so one build serves both
     gen_r = memo.genocchi_order(r, "x", n_max + r)
-    # Eq19 weight: E^(r)_l = G^(r)_{l+r} / (r! C(l+r, l))
+    # Eq19 weight: E^(r)_l = G^(r)_{l+r} / (r! C(l+r, l)); Thm1's Euler list
+    # whenever Eq19 holds, so the memo may serve Thm1's right sides
     r_fact = math.factorial(r)
     euler = [
         gen_r.values[l + r] * Fraction(1, r_fact * math.comb(l + r, l))
-        for l in range(n_max - r + 1)
+        for l in range(n_max + 1)
     ]
-    cells = _convolution_cells(fam.values, euler, memo.chain_factors(ks, n_max), r)
+    cells = _convolution_cells(fam.values, memo.chain_convolutions(ks, euler, n_max), r)
     return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
@@ -333,35 +382,41 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
         numbers = memo.euler_order(l, Fraction(0), n_max)
         for m in range(n_max + 1):
             euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
-    cells = _convolution_cells(fam.values, euler_mix, memo.chain_factors(ks, n_max), r)
+    rhs = _binomial_convolutions(euler_mix, memo.chain_factors(ks, n_max), n_max)
+    cells = _convolution_cells(fam.values, rhs, r)
     return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
 def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Addition rule g_n(x+y) = sum_l C(n,l) g_l(x) (y)_{n-l,lambda}."""
     ks = index_tuple(ks)
+    read_count(n_max)
     memo = memo or FamilyMemo()
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     fall_y = memo.falling_factorials("y", n_max)
-    cells = _convolution_cells(fam_xy.values, fam_x.values, fall_y, 0)
+    rhs = _binomial_convolutions(fam_x.values, fall_y, n_max)
+    cells = _convolution_cells(fam_xy.values, rhs, 0)
     return VerifyReport("Prop4", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
 def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Expansion g_n(x) = sum_l C(n,l) g_l (x)_{n-l,lambda} over the numbers."""
     ks = index_tuple(ks)
+    read_count(n_max)
     memo = memo or FamilyMemo()
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
     fall_x = memo.falling_factorials("x", n_max)
-    cells = _convolution_cells(fam_x.values, numbers.values, fall_x, 0)
+    rhs = _binomial_convolutions(numbers.values, fall_x, n_max)
+    cells = _convolution_cells(fam_x.values, rhs, 0)
     return VerifyReport("Eq15", (("ks", ks), ("n_max", n_max)), tuple(cells))
 
 
 def check_vanishing(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """g_n vanishes identically for n below the number of indices."""
     ks = index_tuple(ks)
+    read_count(n_max)
     memo = memo or FamilyMemo()
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     lhs = fam.values[: len(ks)]
@@ -375,6 +430,7 @@ EQ19_R_MAX = 3
 
 def check_eq19(n_max: int, r_max: int = EQ19_R_MAX, memo: FamilyMemo | None = None) -> VerifyReport:
     """Order-r Euler against order-r Genocchi: r! C(n+r,n) E^(r)_n = G^(r)_{n+r}."""
+    read_count(n_max)
     read_count(r_max, "r_max", least=1)
     memo = memo or FamilyMemo()
     cells = []
@@ -389,6 +445,7 @@ def check_eq19(n_max: int, r_max: int = EQ19_R_MAX, memo: FamilyMemo | None = No
 
 def check_reduction(n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Single-index reductions: ks=[1] gives Genocchi, ks=[k] gives poly-Genocchi."""
+    read_count(n_max)
     memo = memo or FamilyMemo()
     plain = memo.genocchi("x", n_max).values
     cells = _rows(
@@ -427,6 +484,7 @@ def _at_lambda0(values: Iterable[MultiPoly]) -> list[MultiPoly]:
 
 def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyReport]:
     """Base-case reports: Eq05, InverseLogExp and LambdaZeroClassical."""
+    read_count(n_max)
     memo = memo or FamilyMemo()
     reports = []
     e_lam = deg_exp(1, n_max)

@@ -129,7 +129,10 @@ def _faults():
 # verifier's (w)_{3,lambda} feeds the chain products (w = 1) and the bases
 # of Prop4 (y) and Eq15 (x); the multi DP's own (1)_{3,lambda} feeds only the
 # composed numerator, which Vanishing does not see below n = r; the stored
-# (2/(e+1))^2 is on both sides of Thm1 and Thm3 and cancels there.
+# (2/(e+1))^2 is on both sides of Thm1 and Thm3 and cancels there.  Cor2
+# reads Thm1's stored right sides only when its rescaled G^(r) list equals
+# the Euler list they were built from; under inverse_squared the lists
+# differ, so Cor2 convolves its own right side and fails.
 CAUGHT_BY = {
     "inverse": {"Thm3"},
     "deg_exp_at_x": {"Prop4", "Eq15"},
@@ -162,6 +165,14 @@ FAULTS_BY_STORE_KIND = {
     ("e^arg",): {"deg_exp_at_r", "deg_exp_at_x"},
     ("chain products",): {"chain_enumeration", "falling_in_verify"},
     ("chain factors",): {"chain_enumeration", "falling_in_verify", "stirling_4_2"},
+    ("chain convolutions",): {
+        "chain_enumeration",
+        "deg_exp_at_x",
+        "falling_in_verify",
+        "inverse",
+        "inverse_squared",
+        "stirling_4_2",
+    },
     ("falling",): {"falling_in_verify"},
     ("poly_genocchi_deg",): {"deg_exp_at_x", "deg_log", "inverse"},
     ("multi_poly_genocchi_deg",): {

@@ -7,7 +7,8 @@ per combination of family, ``--r``, number of ``--ks`` indices,
 ``--lambda``, ``--format`` and ``--arg`` (the one with the smallest
 ``--n-max``), plus the largest symbolic JSON Stirling table, through
 ``cli.main`` in this process.  The full verify sweep in JSON is pinned by
-its whole sha256 at two orders.
+its whole sha256 at n = 8, 10 and 16, and with ``--corrupt`` at n = 8,
+whose failing cells render both sides of each failed identity.
 """
 
 import hashlib
@@ -24,7 +25,11 @@ MANIFEST = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 VERIFY_ALL_JSON_SHA256 = {
     8: "f46b0480f24807e74e30f0225f2a561c6b666d400fcc22e3a78a94cf3dd411ae",
     10: "6006a14c243cd9301048d2f1e7ee17ed0553fe7009d4f51a77aad15da6326064",
+    16: "7b59514dcd7a3f223cde0ddcddad846a3f0952524badd55ac6ce43d2dfa01de1",
 }
+
+# the same run at N = 8 with --corrupt (615,690 bytes, exit code 1)
+VERIFY_ALL_CORRUPT_JSON_SHA256 = "ff03e718293f1fc0661e2341b021fe7ef259685fe64846bcd69dc3bf73585747"
 
 
 def _options(argv: list[str]) -> dict[str, str]:
@@ -81,3 +86,10 @@ def test_verify_all_json_is_byte_identical(n_max, capsys):
     code, out = _stdout(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_JSON_SHA256[n_max]
+
+
+def test_verify_all_corrupt_json_is_byte_identical(capsys):
+    argv = ["verify", "--identity", "all", "--n-max", "8", "--format", "json", "--corrupt"]
+    code, out = _stdout(argv, capsys)
+    assert code == 1
+    assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_CORRUPT_JSON_SHA256

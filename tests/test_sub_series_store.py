@@ -143,8 +143,9 @@ def test_full_sweep_builds_each_shared_piece_once(monkeypatch):
     assert set(exps) == {("x", 11), ("x+y", 8), (1, 8), (2, 8), (3, 8)}
     assert all(weight != 0 for weight, _ in exps)
     # (x)_{m,lambda} and (y)_{m,lambda} once per sweep, for Eq15 and Prop4;
-    # base 1 once per r for the chain products
-    assert Counter(falling) == {(1, 8): 3, ("x", 8): 1, ("y", 8): 1}
+    # base 1 once per r for the chain products below each top, and once in
+    # the memo for the (1)_{top,lambda} that each top's chain sum takes once
+    assert Counter(falling) == {(1, 8): 4, ("x", 8): 1, ("y", 8): 1}
 
 
 def test_full_sweep_builds_no_order_beyond_what_it_reads(monkeypatch):
@@ -215,7 +216,9 @@ def test_chain_factors_are_served_by_truncation():
     memo = FamilyMemo()
     high = memo.chain_factors(ks, 9)
     low = memo.chain_factors(ks, 6)
-    fresh = verify._chain_factors(ks, stirling1_deg_recurrence(6), verify._chain_products(3, 6))
+    fresh = verify._chain_factors(
+        ks, stirling1_deg_recurrence(6), verify._chain_products(3, 6), deg_falling_factorials(1, 6)
+    )
     assert low == fresh == high[:7]
     assert verify._chain_products(3, 9)[:7] == verify._chain_products(3, 6)
 
@@ -281,3 +284,57 @@ def test_lambda_zero_checks_substitute_symbolic_builds(monkeypatch):
     assert report.passed
     assert len(seen) == 6
     assert all(any(value.degree("lambda") for value in values) for values in seen)
+
+
+def _cor2_convolutions(monkeypatch) -> list:
+    """Record every ``_binomial_convolutions`` call made inside ``check_corollary2`` from now on."""
+    calls, inside = [], []
+    convolve, cor2 = verify._binomial_convolutions, verify.check_corollary2
+
+    def counting(*args):
+        if inside:
+            calls.append(args)
+        return convolve(*args)
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return cor2(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify, "_binomial_convolutions", counting)
+    monkeypatch.setattr(verify, "check_corollary2", marked)
+    monkeypatch.setitem(verify.PER_KS_CHECKS, "cor2", marked)
+    return calls
+
+
+def test_sweep_makes_no_cor2_convolution(monkeypatch):
+    # Cor2's rescaled G^(r) list equals Thm1's Euler list wherever Eq19
+    # holds, so the sweep serves Cor2 the right sides Thm1 stored
+    calls = _cor2_convolutions(monkeypatch)
+    reports = run_identity("all", 8)
+    assert all(report.passed for report in reports)
+    cor2 = [report for report in reports if report.identity_id == "Cor2"]
+    assert len(cor2) == 29 and all(report.cells for report in cor2)
+    assert calls == []
+
+
+def test_standalone_cor2_convolves_its_own_right_sides(monkeypatch):
+    calls = _cor2_convolutions(monkeypatch)
+    assert verify.check_corollary2((1, 2), 8).passed
+    assert len(calls) == 1
+
+
+def test_chain_convolutions_serve_only_an_equal_list():
+    ks = (1, 2)
+    memo = FamilyMemo()
+    euler = memo.euler_order(2, "x", 6).values
+    stored = memo.chain_convolutions(ks, euler, 6)
+    assert memo.chain_convolutions(ks, euler[:5], 4) == stored[:5]
+    other = [value + 1 for value in euler]
+    own = verify._binomial_convolutions(other, memo.chain_factors(ks, 6), 6)
+    assert memo.chain_convolutions(ks, other, 6) == own != stored
+    # a request with another list stores nothing
+    assert memo.chain_convolutions(ks, euler, 6) == stored
+    assert [value for value, _ in memo._store._entries[("chain convolutions", ks)][1]] == list(euler)

@@ -3,10 +3,12 @@
 import itertools
 import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import fraction_poly as ref
+from chain_enumeration import chain_products
 from fraction_chain_factors import chain_factors as fraction_chain_factors
 from degenpoly import cli, degen, families, verify
 from degenpoly.degen import deg_multi_polyexp, stirling1_deg_recurrence
@@ -288,11 +290,14 @@ def test_chain_factors_match_the_fraction_weight_oracle(r):
     # every list of r indices in -2..3, a superset of the sweep's lists of length r
     k_lists = list(itertools.product(range(-2, 4), repeat=r))
     assert {ks for ks in default_k_lists() if len(ks) == r} <= set(k_lists)
+    # the oracle takes whole chain products from the enumeration in tests/,
+    # the package its products below the top and (1)_{m,lambda} apart
     stirling = stirling1_deg_recurrence(8)
-    products = _chain_products(r, 8)
+    whole = chain_products(r, 8)
+    below, ones = _chain_products(r, 8), degen.deg_falling_factorials(1, 8)
     for ks in k_lists:
-        expected = fraction_chain_factors(ks, stirling, products)
-        assert _chain_factors(ks, stirling, products) == expected, ks
+        expected = fraction_chain_factors(ks, stirling, whole)
+        assert _chain_factors(ks, stirling, below, ones) == expected, ks
 
 
 def test_chain_factors_take_an_index_list():
@@ -431,6 +436,7 @@ def test_non_int_indices_raise_type_error(build, ks):
         lambda order: degen.deg_log(order),
         lambda order: degen.deg_polyexp(1, order),
         lambda order: degen.polyexp_modified(1, order),
+        lambda order: deg_multi_polyexp((1, 2), order),
     ],
     ids=[
         "genocchi_deg",
@@ -458,6 +464,7 @@ def test_non_int_indices_raise_type_error(build, ks):
         "deg_log.order",
         "deg_polyexp.order",
         "polyexp_modified.order",
+        "deg_multi_polyexp.order",
     ],
 )
 def test_bool_argument_raises_type_error(build, argument):
@@ -465,6 +472,14 @@ def test_bool_argument_raises_type_error(build, argument):
     # base, an index k, an order r, a series order, r_max or an n_max
     with pytest.raises(TypeError):
         build(argument)
+
+
+def test_multi_polyexp_names_its_own_order():
+    # the order used to be read only by deg_falling_factorials, as "n_max"
+    with pytest.raises(TypeError, match="order must be an int"):
+        deg_multi_polyexp((1, 2), True)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        deg_multi_polyexp((1, 2), -1)
 
 
 def test_eq19_with_no_order_raises_value_error():
@@ -572,3 +587,20 @@ def test_negative_order_is_rejected(call):
     # a plain message, not one from deep inside a build ("cannot truncate ...")
     with pytest.raises(ValueError, match="nonnegative|n >= 0"):
         call(-1)
+
+
+N_MAX_CHECKERS = {
+    **{name: partial(check, KS) for name, check in verify.PER_KS_CHECKS.items()},
+    "eq19": check_eq19,
+    "reduction": check_reduction,
+    "basics": check_basics,
+}
+
+
+@pytest.mark.parametrize("check", N_MAX_CHECKERS.values(), ids=list(N_MAX_CHECKERS))
+def test_checkers_name_n_max(check):
+    # not the "order" of the store that the first build would read it as
+    with pytest.raises(ValueError, match="^n_max must be nonnegative"):
+        check(-1)
+    with pytest.raises(TypeError, match="^n_max must be an int"):
+        check(True)
