@@ -18,10 +18,10 @@ reduces to a classical object at lambda = 0:
 
 Series weights and bases may be the symbols ``"x"``, ``"y"``, the sum
 ``"x+y"``, or any exact rational.  Each kind of input has one reader
-here: :func:`index_tuple`, :func:`read_count` and :func:`read_argument`.
-Each builder that reads lambda takes it as the keyword ``lam``: the symbol
-``LAM`` by default, or a constant polynomial to build at that value of
-lambda directly.
+here: :func:`index_tuple`, :func:`read_count`, :func:`read_lam` and
+:func:`read_argument`.  Each builder that reads lambda takes it as the
+keyword ``lam``: the symbol ``LAM`` by default, or a constant polynomial to
+build at that value of lambda directly.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ def read_count(value: int, name: str = "n_max", least: int = 0) -> int:
     return value
 
 
+def read_lam(lam: MultiPoly) -> MultiPoly:
+    """``lam``: the symbol ``LAM`` or a constant ``MultiPoly``, the value lambda is built at."""
+    if not isinstance(lam, MultiPoly):
+        raise TypeError(f"lam must be LAM or a constant MultiPoly, got {type(lam).__name__}")
+    # a nonzero packed key is a monomial in lambda, x or y
+    if lam != LAM and any(lam.num):
+        raise ValueError(f"lam must be LAM or a constant MultiPoly, got {lam}")
+    return lam
+
+
 def read_argument(value: Argument, *, weight: bool = False) -> Union[str, Fraction]:
     """A family argument: ``"x"``, ``"x+y"``, or an int or ``Fraction`` (never a bool).
 
@@ -74,6 +84,7 @@ def deg_falling_factorials(base: Argument, n_max: int, *, lam: MultiPoly = LAM) 
     """``(base)_{m,lambda}`` for m = 0..n_max, in one running product."""
     read_count(n_max)
     b = _base_poly(base)
+    read_lam(lam)
     out = [ONE]
     for i in range(n_max):
         out.append(out[-1] * (b - lam * i))
@@ -96,6 +107,7 @@ def deg_exp(weight: Argument, order: int, *, lam: MultiPoly = LAM) -> TruncatedS
     """
     read_count(order, "order")
     b = _base_poly(weight)
+    read_lam(lam)
     coeffs = []
     prod = ONE
     fact = 1
@@ -116,6 +128,7 @@ def deg_log(order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     ``e_lambda(log_lambda(1 + t)) = 1 + t`` exactly.
     """
     read_count(order, "order")
+    read_lam(lam)
     coeffs: list[MultiPoly] = [ZERO]
     prod = ONE
     fact = 1
@@ -161,6 +174,7 @@ def stirling1_deg_recurrence(n_max: int, *, lam: MultiPoly = LAM) -> StirlingTab
     ``S(0,0) = 1`` and ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)``.
     """
     read_count(n_max)
+    read_lam(lam)
     rows: list[tuple[MultiPoly, ...]] = [(ONE,)]
     for n in range(n_max):
         prev = (ZERO, *rows[n], ZERO)  # prev[k + 1] is S(n, k), zero outside 0..n
@@ -195,6 +209,7 @@ def deg_polyexp(k: int, order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     """
     read_count(order, "order")
     index_tuple((k,))
+    read_lam(lam)
     coeffs: list[MultiPoly] = [ZERO]
     prod = ONE
     for n in range(1, order + 1):
@@ -231,6 +246,7 @@ def deg_multi_polyexp(ks: Sequence[int], order: int, *, lam: MultiPoly = LAM) ->
     """
     ks = index_tuple(ks)
     order = read_count(order, "order")
+    read_lam(lam)
     ones = deg_falling_factorials(1, order, lam=lam)
     level: list[MultiPoly] | None = None
     for k in ks:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
 from .degen import Argument, deg_exp, deg_log, deg_multi_polyexp, deg_polyexp, index_tuple
-from .degen import read_argument, read_count
+from .degen import read_argument, read_count, read_lam
 from .poly import LAM, ONE, MultiPoly, sum_of_products
 from .series import TruncatedSeries, square_terms
 
@@ -182,6 +182,7 @@ def genocchi_deg_order(
     read_count(r, "r", least=1)
     argument = read_argument(argument)
     read_count(n_max)
+    read_lam(lam)
     # (2t/(e+1))^r, not t^r times the Euler kernel: Eq19 checks one against the other
     kernel = (TruncatedSeries.t(n_max) * _two_over_exp_plus_one_power(1, n_max, lam=lam)) ** r
     return _family(kernel, argument, n_max, lam=lam)
@@ -194,6 +195,7 @@ def euler_deg_order(
     read_count(r, "r", least=1)
     argument = read_argument(argument)
     read_count(n_max)
+    read_lam(lam)
     kernel = _two_over_exp_plus_one_power(r, n_max, lam=lam)
     return _family(kernel, argument, n_max, lam=lam)
 
@@ -205,6 +207,7 @@ def poly_genocchi_deg(
     index_tuple((k,))
     argument = read_argument(argument)
     read_count(n_max)
+    read_lam(lam)
     num = _compose_with_log(deg_polyexp(k, n_max, lam=lam), lam=lam)
     kernel = num * _two_over_exp_plus_one_power(1, n_max, lam=lam)
     return _family(kernel, argument, n_max, lam=lam)
@@ -217,6 +220,7 @@ def multi_poly_genocchi_deg(
     ks = index_tuple(ks)
     argument = read_argument(argument)
     read_count(n_max)
+    read_lam(lam)
 
     # the kernel does not depend on the argument: a memo builds it once per k-list
     def build(order: int) -> TruncatedSeries:

@@ -49,6 +49,8 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[CoeffLike]):
+        if type(order) is not int:
+            raise TypeError(f"series order must be an int, got {order!r}")
         if order < 0:
             raise ValueError("series order must be nonnegative")
         cs = tuple(_as_poly(c) for c in coeffs)

@@ -93,28 +93,28 @@ def _cell(params: ParamItems, lhs: MultiPoly, rhs: MultiPoly) -> VerifyCell:
 
 
 def _rows(
-    params: ParamItems, lhs: Iterable[MultiPoly], rhs: Iterable[MultiPoly]
+    params: ParamItems, lhs: Iterable[MultiPoly], rhs: Iterable[MultiPoly], n_lo: int = 0
 ) -> list[VerifyCell]:
-    """One cell per n: ``lhs[n]`` against ``rhs[n]`` under ``params + (("n", n),)``.
+    """One cell per n >= n_lo: ``lhs[n]`` against ``rhs[n]`` under ``params + (("n", n),)``.
 
     The sides must have equal length, so a miswired checker raises instead of
-    silently checking fewer cells.
+    silently checking fewer cells.  Thm1, Cor2, Thm3, Prop4 and Eq15 all
+    check ``lhs[n]`` against a binomial convolution ``sum_l C(n,l) a[l] b[n-l]``
+    (from :func:`_binomial_convolutions` or :meth:`FamilyMemo.chain_convolutions`);
+    each checker builds its ``lhs``, ``a`` and ``b`` along routes of its own.
     """
     pairs = enumerate(zip(lhs, rhs, strict=True))
-    return [_cell(params + (("n", n),), a, b) for n, (a, b) in pairs]
-
-
-def _binomial_convolution(a: Sequence[MultiPoly], b: Sequence[MultiPoly], n: int) -> MultiPoly:
-    """``sum_l C(n,l) a[l] b[n-l]``; entries past the end of a or b count as zero."""
-    ls = range(max(0, n - len(b) + 1), min(n, len(a) - 1) + 1)
-    return sum_of_products((math.comb(n, l), a[l], b[n - l]) for l in ls)
+    return [_cell(params + (("n", n),), a, b) for n, (a, b) in pairs if n >= n_lo]
 
 
 def _binomial_convolutions(
     a: Sequence[MultiPoly], b: Sequence[MultiPoly], n_max: int
 ) -> list[MultiPoly]:
-    """:func:`_binomial_convolution` of ``a`` and ``b`` at each n = 0..n_max."""
-    return [_binomial_convolution(a, b, n) for n in range(n_max + 1)]
+    """``sum_{l=0}^{n} C(n,l) a[l] b[n-l]`` at each n = 0..n_max; both lists reach n_max."""
+    return [
+        sum_of_products((math.comb(n, l), a[l], b[n - l]) for l in range(n + 1))
+        for n in range(n_max + 1)
+    ]
 
 
 class FamilyMemo:
@@ -313,26 +313,36 @@ def _chain_factors(
     ]
 
 
-def _convolution_cells(lhs, rhs, n_lo: int) -> list[VerifyCell]:
-    """``lhs[n]`` against ``rhs[n]``, one cell per n from n_lo to the end of lhs.
+def _per_k_list(identity_id: str) -> Callable:
+    """The frame of a per-k-list checker whose body returns only its cells.
 
-    Thm1, Cor2, Thm3, Prop4 and Eq15 all check ``lhs[n]`` against a
-    binomial convolution ``sum_l C(n,l) a[l] b[n-l]`` (the ``rhs``, from
-    :func:`_binomial_convolutions` or :meth:`FamilyMemo.chain_convolutions`);
-    each checker builds its ``lhs``, ``a`` and ``b`` along routes of its own.
+    The checker reads ``ks`` through :func:`index_tuple`, then ``n_max``
+    through :func:`read_count`, builds on a fresh memo when none is given,
+    and reports the cells under ``(("ks", ks), ("n_max", n_max))``.  It keeps
+    the body's name and docstring, not its signature.
     """
-    return [_cell((("n", n),), lhs[n], rhs[n]) for n in range(n_lo, len(lhs))]
+
+    def frame(body: Callable[..., list[VerifyCell]]) -> Callable[..., VerifyReport]:
+        def check(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
+            ks = index_tuple(ks)
+            read_count(n_max)
+            cells = body(ks, n_max, memo or FamilyMemo())
+            return VerifyReport(identity_id, (("ks", ks), ("n_max", n_max)), tuple(cells))
+
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__ = body.__doc__
+        return check
+
+    return frame
 
 
-def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
+@_per_k_list("Thm1")
+def check_theorem1(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[VerifyCell]:
     """Chain-sum expansion of g_n(x) over order-r Euler polynomials.
 
     Cells cover n = r..n_max; the n < r vanishing clause is asserted too and
     surfaces as extra failing cells only when violated.
     """
-    ks = index_tuple(ks)
-    read_count(n_max)
-    memo = memo or FamilyMemo()
     r = len(ks)
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     cells = []
@@ -341,17 +351,16 @@ def check_theorem1(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
             cells.append(_cell((("clause", "vanishing"), ("n", n)), fam.values[n], ZERO))
     if n_max >= r:
         euler = memo.euler_order(r, "x", n_max).values
-        cells += _convolution_cells(fam.values, memo.chain_convolutions(ks, euler, n_max), r)
-    return VerifyReport("Thm1", (("ks", ks), ("n_max", n_max)), tuple(cells))
+        cells += _rows((), fam.values, memo.chain_convolutions(ks, euler, n_max), r)
+    return cells
 
 
-def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
+@_per_k_list("Cor2")
+def check_corollary2(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[VerifyCell]:
     """Same expansion with Euler replaced by order-r Genocchi via Eq19."""
-    ks = index_tuple(ks)
-    memo = memo or FamilyMemo()
     r = len(ks)
-    if read_count(n_max) < r:
-        return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), ())
+    if n_max < r:
+        return []
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     # built at n_max + r, the order Eq19 asks for, so one build serves both
     gen_r = memo.genocchi_order(r, "x", n_max + r)
@@ -362,17 +371,15 @@ def check_corollary2(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRe
         gen_r.values[l + r] * Fraction(1, r_fact * math.comb(l + r, l))
         for l in range(n_max + 1)
     ]
-    cells = _convolution_cells(fam.values, memo.chain_convolutions(ks, euler, n_max), r)
-    return VerifyReport("Cor2", (("ks", ks), ("n_max", n_max)), tuple(cells))
+    return _rows((), fam.values, memo.chain_convolutions(ks, euler, n_max), r)
 
 
-def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
+@_per_k_list("Thm3")
+def check_theorem3(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[VerifyCell]:
     """Numbers at argument r via alternating sums of order-l Euler numbers."""
-    ks = index_tuple(ks)
-    memo = memo or FamilyMemo()
     r = len(ks)
-    if read_count(n_max) < r:
-        return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), ())
+    if n_max < r:
+        return []
     fam = memo.multi_poly_genocchi(ks, Fraction(r), n_max)
     # euler_mix[m] = sum_{l=0}^{r} C(r,l) (-1)^l 2^(r-l) E^(l)_m, order 0 giving delta_{m,0}
     euler_mix: list[MultiPoly] = [ZERO] * (n_max + 1)
@@ -383,45 +390,33 @@ def check_theorem3(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyRepo
         for m in range(n_max + 1):
             euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
     rhs = _binomial_convolutions(euler_mix, memo.chain_factors(ks, n_max), n_max)
-    cells = _convolution_cells(fam.values, rhs, r)
-    return VerifyReport("Thm3", (("ks", ks), ("n_max", n_max)), tuple(cells))
+    return _rows((), fam.values, rhs, r)
 
 
-def check_prop4(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
+@_per_k_list("Prop4")
+def check_prop4(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[VerifyCell]:
     """Addition rule g_n(x+y) = sum_l C(n,l) g_l(x) (y)_{n-l,lambda}."""
-    ks = index_tuple(ks)
-    read_count(n_max)
-    memo = memo or FamilyMemo()
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     fall_y = memo.falling_factorials("y", n_max)
-    rhs = _binomial_convolutions(fam_x.values, fall_y, n_max)
-    cells = _convolution_cells(fam_xy.values, rhs, 0)
-    return VerifyReport("Prop4", (("ks", ks), ("n_max", n_max)), tuple(cells))
+    return _rows((), fam_xy.values, _binomial_convolutions(fam_x.values, fall_y, n_max))
 
 
-def check_eq15(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
+@_per_k_list("Eq15")
+def check_eq15(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[VerifyCell]:
     """Expansion g_n(x) = sum_l C(n,l) g_l (x)_{n-l,lambda} over the numbers."""
-    ks = index_tuple(ks)
-    read_count(n_max)
-    memo = memo or FamilyMemo()
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
     fall_x = memo.falling_factorials("x", n_max)
-    rhs = _binomial_convolutions(numbers.values, fall_x, n_max)
-    cells = _convolution_cells(fam_x.values, rhs, 0)
-    return VerifyReport("Eq15", (("ks", ks), ("n_max", n_max)), tuple(cells))
+    return _rows((), fam_x.values, _binomial_convolutions(numbers.values, fall_x, n_max))
 
 
-def check_vanishing(ks, n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
+@_per_k_list("Vanishing")
+def check_vanishing(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[VerifyCell]:
     """g_n vanishes identically for n below the number of indices."""
-    ks = index_tuple(ks)
-    read_count(n_max)
-    memo = memo or FamilyMemo()
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     lhs = fam.values[: len(ks)]
-    cells = _rows((), lhs, [ZERO] * len(lhs))
-    return VerifyReport("Vanishing", (("ks", ks), ("n_max", n_max)), tuple(cells))
+    return _rows((), lhs, [ZERO] * len(lhs))
 
 
 # the largest r of Eq19 in the full sweep

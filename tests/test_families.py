@@ -131,6 +131,37 @@ def test_bad_argument_raises_before_the_kernel_is_built(builder, inputs, error, 
     assert calls == []
 
 
+LAM_BUILDERS = {
+    "deg_falling_factorials": lambda lam: degen.deg_falling_factorials("x", 4, lam=lam),
+    "deg_exp": lambda lam: degen.deg_exp("x", 4, lam=lam),
+    "deg_log": lambda lam: degen.deg_log(4, lam=lam),
+    "stirling1_deg_recurrence": lambda lam: degen.stirling1_deg_recurrence(4, lam=lam),
+    "deg_polyexp": lambda lam: degen.deg_polyexp(2, 4, lam=lam),
+    "deg_multi_polyexp": lambda lam: degen.deg_multi_polyexp((1, 2), 4, lam=lam),
+    "genocchi_deg": lambda lam: genocchi_deg("x", 4, lam=lam),
+    "genocchi_deg_order": lambda lam: genocchi_deg_order(2, "x", 4, lam=lam),
+    "euler_deg_order": lambda lam: euler_deg_order(2, "x", 4, lam=lam),
+    "poly_genocchi_deg": lambda lam: poly_genocchi_deg(2, "x", 4, lam=lam),
+    "multi_poly_genocchi_deg": lambda lam: multi_poly_genocchi_deg((1, 2), "x", 4, lam=lam),
+}
+BAD_LAMS = {
+    "2": (2, TypeError),
+    "1/2": (Fraction(1, 2), TypeError),
+    "x": (X, ValueError),
+    "lambda+1": (LAM + 1, ValueError),
+}
+
+
+@pytest.mark.parametrize("lam, error", BAD_LAMS.values(), ids=list(BAD_LAMS))
+@pytest.mark.parametrize("build", LAM_BUILDERS.values(), ids=list(LAM_BUILDERS))
+def test_lam_is_the_symbol_or_a_constant(build, lam, error):
+    # x would stand in for lambda, and a bare number is not a polynomial
+    with pytest.raises(error, match="^lam must be LAM or a constant MultiPoly"):
+        build(lam)
+    build(LAM)
+    build(MultiPoly.const(Fraction(1, 2)))
+
+
 def test_euler_order_hand_values():
     fam = euler_deg_order(1, "x", 2)
     assert fam.values[0] == ONE

@@ -32,6 +32,13 @@ def test_constructor_validation():
     assert s.coeffs[1] == MultiPoly.const(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("order", [True, False, 1.0], ids=repr)
+def test_order_that_is_not_an_int_raises_type_error(order):
+    # True and 1.0 would otherwise build a two-coefficient series of that order
+    with pytest.raises(TypeError, match="^series order must be an int"):
+        TruncatedSeries(order, [1, 2])
+
+
 def test_order_mismatch_raises():
     a = TruncatedSeries.constant(1, 3)
     b = TruncatedSeries.constant(1, 4)

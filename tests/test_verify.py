@@ -16,7 +16,7 @@ from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
 from degenpoly.verify import (
     FamilyMemo,
-    _binomial_convolution,
+    _binomial_convolutions,
     _chain_factors,
     _chain_products,
     _classical_genocchi_numbers,
@@ -277,12 +277,26 @@ def test_corrupt_memo_fails_every_multi_vs_poly_reduction():
     assert failed_ks == {-2, -1, 0, 1, 2}
 
 
-def test_binomial_convolution_treats_missing_entries_as_zero():
+def test_binomial_convolutions_need_lists_that_reach_n_max():
     a = [MultiPoly.const(c) for c in (1, 2, 3)]
     b = [MultiPoly.const(c) for c in (5, 7)]
-    # n = 2: C(2,1) a[1] b[1] + C(2,2) a[2] b[0]; a[0] b[2] lies past the end of b
-    assert _binomial_convolution(a, b, 2) == MultiPoly.const(2 * 2 * 7 + 3 * 5)
-    assert _binomial_convolution(a, b, 4) == ZERO
+    # n = 1: C(1,0) a[0] b[1] + C(1,1) a[1] b[0]
+    assert _binomial_convolutions(a, b, 1) == [MultiPoly.const(5), MultiPoly.const(7 + 2 * 5)]
+    # b[2] is missing, not zero
+    with pytest.raises(IndexError):
+        _binomial_convolutions(a, b, 2)
+
+
+def test_a_longer_right_side_is_not_cut(monkeypatch):
+    chain_convolutions = FamilyMemo.chain_convolutions
+
+    def one_more(self, *args):
+        return [*chain_convolutions(self, *args), ZERO]
+
+    monkeypatch.setattr(FamilyMemo, "chain_convolutions", one_more)
+    # zip(strict=True) names the longer side
+    with pytest.raises(ValueError, match="argument 2 is longer than argument 1"):
+        check_theorem1((1, 2), 4)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
