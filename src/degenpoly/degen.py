@@ -17,11 +17,13 @@ reduces to a classical object at lambda = 0:
   index chains ``0 < n_1 < ... < n_r``.
 
 Series weights and bases may be the symbols ``"x"``, ``"y"``, the sum
-``"x+y"``, or any exact rational.  Each kind of input has one reader
-here: :func:`index_tuple`, :func:`read_count`, :func:`read_lam` and
-:func:`read_argument`.  Each builder that reads lambda takes it as the
-keyword ``lam``: the symbol ``LAM`` by default, or a constant polynomial to
-build at that value of lambda directly.
+``"x+y"``, or any exact rational.  Each kind of input has one reader:
+:func:`index_tuple`, :func:`read_lam` and :func:`read_argument` here, and
+:func:`~degenpoly.series.read_count`, re-exported from
+:mod:`degenpoly.series`, the lowest module that reads a count.  Each
+builder that reads lambda takes it as the keyword ``lam``: the symbol
+``LAM`` by default, or a constant polynomial to build at that value of
+lambda directly.
 """
 
 from __future__ import annotations
@@ -32,21 +34,11 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .poly import LAM, ONE, X, Y, ZERO, MultiPoly, sum_of_products
-from .series import TruncatedSeries
+from .series import TruncatedSeries, read_count
 
 Argument = Union[str, int, Fraction]
 
 _BASES = {"x": X, "y": Y, "x+y": X + Y}
-
-
-def read_count(value: int, name: str = "n_max", least: int = 0) -> int:
-    """``n_max``, an order or r: an ``int`` (never a bool) of at least ``least``."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    return value
 
 
 def read_lam(lam: MultiPoly) -> MultiPoly:

@@ -165,6 +165,7 @@ class FamilyMemo:
         read here, so a key holds exactly what its builder reads.
         """
         params = (*params, read_argument(argument))
+        n_max = read_count(n_max)
         values = self._store.get((builder, params), n_max, lambda n: builder(*params, n).values)
         return PolyFamily(values)
 
@@ -193,6 +194,7 @@ class FamilyMemo:
 
     def stirling(self, n_max: int) -> StirlingTable:
         """The Stirling triangle, stored under its builder like a family; looked up at each call."""
+        n_max = read_count(n_max)
         entries = self._store.get(
             (stirling1_deg_recurrence, ()), n_max, lambda n: stirling1_deg_recurrence(n).entries
         )
@@ -205,6 +207,7 @@ class FamilyMemo:
         ``deg_falling_factorials`` reaches the stored lists.
         """
         base = read_argument(base, weight=True)
+        n_max = read_count(n_max)
         return self._store.get(("falling", base), n_max, partial(deg_falling_factorials, base))
 
     def chain_factors(self, ks, n_max: int) -> list[MultiPoly]:
@@ -216,7 +219,7 @@ class FamilyMemo:
             products = self._store.get(("chain products", r), n, partial(_chain_products, r))
             return _chain_factors(ks, self.stirling(n), products, self.falling_factorials(1, n))
 
-        return self._store.get(("chain factors", ks), n_max, build)
+        return self._store.get(("chain factors", ks), read_count(n_max), build)
 
     def chain_convolutions(self, ks, a: Sequence[MultiPoly], n_max: int) -> list[MultiPoly]:
         """``sum_l C(n,l) a[l] f[n-l]`` for n = 0..n_max, ``f`` the chain factors of ``ks``.
@@ -234,6 +237,7 @@ class FamilyMemo:
         def convolve(n: int) -> list[MultiPoly]:
             return _binomial_convolutions(a, self.chain_factors(ks, n), n)
 
+        n_max = read_count(n_max)
         stored = self._store.get(
             ("chain convolutions", ks), n_max, lambda n: list(zip(a, convolve(n), strict=True))
         )

@@ -4,7 +4,8 @@ This is the body of ``TruncatedSeries.compose`` from before composition was
 rewritten as a direct sum over powers of the inner series, kept unchanged
 (as a function of the outer series, still named ``self``) so that
 ``tests/test_series_differential.py`` can check the two against each other.
-It uses only the series product and sum, which are tested on their own.
+It uses only the series product and the sum of a series and a polynomial,
+which are tested on their own.
 """
 
 from degenpoly.series import TruncatedSeries

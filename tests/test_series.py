@@ -42,7 +42,7 @@ def test_order_that_is_not_an_int_raises_type_error(order):
 def test_order_mismatch_raises():
     a = TruncatedSeries.constant(1, 3)
     b = TruncatedSeries.constant(1, 4)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.compose(b)):
+    for op in (lambda: a * b, lambda: a.compose(b)):
         with pytest.raises(ValueError):
             op()
 
@@ -64,19 +64,44 @@ def test_mul_small_case():
     assert s.coeffs == (ZERO, ONE, MultiPoly.const(2))
 
 
-def test_scalar_scale_and_add():
-    s = TruncatedSeries.t(2) * 2 + 1
+def test_scalar_add_and_subtract():
+    s = TruncatedSeries(2, [0, 2, 0]) + 1
     assert s.coeffs == (ONE, MultiPoly.const(2), ZERO)
-    s2 = s * LAM
-    assert s2.coeffs == (LAM, 2 * LAM, ZERO)
     s3 = s - 1
     assert s3.coeffs == (ZERO, MultiPoly.const(2), ZERO)
+
+
+@pytest.mark.parametrize(
+    "form, coeffs",
+    [
+        ("s + s", None),
+        ("s - s", None),
+        ("-s", None),
+        ("s * 2", None),
+        ("2 * s", None),
+        ("s * LAM", None),
+        ("1 + s", None),
+        ("s + 1", (2, 2, 3)),
+        ("s - 1", (0, 2, 3)),
+        ("s + LAM", (1 + LAM, 2, 3)),
+        ("s * s", (1, 4, 10)),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_only_scalar_sums_and_series_products_remain(form, coeffs):
+    # no family adds two series, negates one or scales one by a scalar
+    env = {"s": TruncatedSeries(2, [1, 2, 3]), "LAM": LAM}
+    if coeffs is None:
+        with pytest.raises(TypeError):
+            eval(form, env)
+    else:
+        assert eval(form, env) == TruncatedSeries(2, coeffs)
 
 
 def test_invert_geometric_oracle():
     # 1/(1 - t) = sum t^n, frozen expectation
     n = 8
-    geom = (TruncatedSeries.constant(1, n) - TruncatedSeries.t(n)).invert()
+    geom = TruncatedSeries(n, [1, -1] + [0] * (n - 1)).invert()
     assert geom.coeffs == tuple([ONE] * (n + 1))
 
 
@@ -97,14 +122,14 @@ def test_invert_requires_rational_unit():
 
 
 def brute_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    # direct sum of c_n * inner^n, the slow reference
+    # direct sum of c_n * inner^n over coefficient lists, the slow reference
     order = outer.order
-    acc = TruncatedSeries.constant(0, order)
+    acc = [ZERO] * (order + 1)
     power = TruncatedSeries.constant(1, order)
-    for n in range(order + 1):
-        acc = acc + power * outer.coeffs[n]
+    for c in outer.coeffs:
+        acc = [a + c * p for a, p in zip(acc, power.coeffs)]
         power = power * inner
-    return acc
+    return TruncatedSeries(order, acc)
 
 
 def test_compose_against_brute_force():
@@ -187,6 +212,27 @@ def test_pow_of_a_huge_exponent():
     r = 10**9
     power = (TruncatedSeries.t(4) + 1) ** r
     assert power == TruncatedSeries(4, [math.comb(r, m) for m in range(5)])
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(True, TypeError), (1.0, TypeError), (-1, ValueError)],
+    ids=["bool", "float", "neg"],
+)
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda s, n: s.egf_coeff(n),
+        lambda s, n: s.powers(n),
+        lambda s, n: s**n,
+    ],
+    ids=["egf_coeff", "powers", "pow"],
+)
+def test_series_counts_reject_a_bool_a_float_and_a_negative(use, bad, error):
+    # egf_coeff(True) used to return c_1, powers(-1) () and s ** True s;
+    # the constructor's order is tested on its own above
+    with pytest.raises(error):
+        use(TruncatedSeries(1, [1, 2]), bad)
 
 
 def test_egf_coeff():

@@ -531,6 +531,26 @@ def test_memo_rejects_a_bool_order_after_a_build():
             call()
 
 
+@pytest.mark.parametrize("bad, error", [(-1, ValueError), (2.0, TypeError)], ids=["neg", "float"])
+@pytest.mark.parametrize(
+    "accessor, args",
+    [
+        ("genocchi_order", (1, "x")),
+        ("euler_order", (1, "x")),
+        ("multi_poly_genocchi", ((1, 2), "x")),
+        ("stirling", ()),
+        ("falling_factorials", ("x",)),
+        ("chain_factors", ((1, 2),)),
+        ("chain_convolutions", ((1, 2), [ZERO])),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_memo_reads_a_bad_n_max_as_n_max(accessor, args, bad, error):
+    # the store used to be the only reader, and named it "order"
+    with pytest.raises(error, match="^n_max must"):
+        getattr(FamilyMemo(), accessor)(*args, bad)
+
+
 def test_basics_build_each_base_series_once(monkeypatch):
     built, logs, powered = [], [], []
     for name in ("deg_exp", "deg_polyexp", "polyexp_modified", "deg_log"):
