@@ -229,8 +229,11 @@ class FamilyMemo:
         ``a`` holds n_max + 1 values.  The first request for a k-list stores
         them next to its ``a``; a later request whose ``a`` equals the
         stored prefix exactly is served the stored right sides, so Cor2
-        convolves nothing after Thm1 wherever Eq19 holds.  A request whose
-        ``a`` differs convolves its own and stores nothing.
+        convolves nothing after Thm1 wherever Eq19 holds.  A request above
+        the stored order replaces the entry with its own ``a`` and right
+        sides, equal or not; any other request whose ``a`` differs
+        convolves its own and stores nothing.  Every request is served
+        the right sides of its own ``a``.
         """
         ks = index_tuple(ks)
 

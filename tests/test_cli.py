@@ -4,7 +4,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -13,8 +12,7 @@ from degenpoly.cli import FAMILIES, main
 from degenpoly.families import poly_genocchi_deg
 from degenpoly.poly import MultiPoly
 from cli_subprocess import run_cli
-
-DATA_DIR = Path(__file__).parent / "data"
+from pinned_runs import DATA_DIR, PINNED_RUNS, matches
 
 
 def read_poly(text: str) -> MultiPoly:
@@ -128,66 +126,16 @@ def test_negative_n_max_is_a_usage_error_of_either_subcommand(command, capsys):
     assert err.splitlines()[-1] == "degenpoly: error: --n-max must be nonnegative"
 
 
-# (file under tests/data, argv, expected exit code)
-GOLDEN_CASES = [
-    (
-        "genocchi_lam0_arg0_n8.csv",
-        ["compute", "--family", "genocchi", "--n-max", "8", "--lambda", "0",
-         "--arg", "0", "--format", "csv"],
-        0,
-    ),
-    (
-        "stirling1_sym_n3.json",
-        ["compute", "--family", "stirling1", "--n-max", "3", "--lambda", "sym"],
-        0,
-    ),
-    (
-        "multi_poly_genocchi_k1_sym_n6.json",
-        ["compute", "--family", "multi-poly-genocchi", "--ks", "1", "--n-max", "6",
-         "--lambda", "sym", "--arg", "sym-x"],
-        0,
-    ),
-    (
-        "genocchi_sym_n6.json",
-        ["compute", "--family", "genocchi", "--n-max", "6", "--lambda", "sym",
-         "--arg", "sym-x"],
-        0,
-    ),
-    (
-        "verify_thm1_ks12_n4.json",
-        ["verify", "--identity", "thm1", "--ks", "1,2", "--n-max", "4", "--format", "json"],
-        0,
-    ),
-    (
-        "verify_thm1_ks12_n4_corrupt.json",
-        ["verify", "--identity", "thm1", "--ks", "1,2", "--n-max", "4", "--format", "json",
-         "--corrupt"],
-        1,
-    ),
-    (
-        "verify_cor2_ks123_n2_vacuous.json",
-        ["verify", "--identity", "cor2", "--ks", "1,2,3", "--n-max", "2", "--format", "json"],
-        0,
-    ),
-    (
-        "verify_all_n5.txt",
-        ["verify", "--identity", "all", "--n-max", "5"],
-        0,
-    ),
-    (
-        "verify_all_n2_corrupt.txt",
-        ["verify", "--identity", "all", "--n-max", "2", "--corrupt"],
-        1,
-    ),
-]
-
-
-@pytest.mark.parametrize("name,args,code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_golden_files_regenerate_byte_exact(name, args, code, tmp_path):
-    out = tmp_path / name
+@pytest.mark.parametrize(
+    "pin,args,code",
+    PINNED_RUNS,
+    ids=[" ".join(a) if p.startswith("sha256:") else p for p, a, _ in PINNED_RUNS],
+)
+def test_golden_files_regenerate_byte_exact(pin, args, code, tmp_path):
+    out = tmp_path / "out"
     proc = run_cli(*args, "--out", str(out))
     assert proc.returncode == code, proc.stderr
-    assert out.read_bytes() == (DATA_DIR / name).read_bytes()
+    assert matches(pin, out.read_bytes())
 
 
 def test_determinism_repeated_invocations():
@@ -355,6 +303,21 @@ def test_out_dir_env_override(tmp_path):
     )
     assert proc.returncode == 0
     assert target.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("compute", "--family", "genocchi", "--n-max", "3"),
+        ("verify", "--identity", "thm1", "--ks", "1,2", "--n-max", "3"),
+    ],
+)
+def test_out_stdout_writes_to_stdout_not_a_file(args, tmp_path):
+    dash = run_cli(*args, "--out", "-", env_extra={"DEGENPOLY_OUT_DIR": str(tmp_path)})
+    named = run_cli(*args, "--out", "stdout", env_extra={"DEGENPOLY_OUT_DIR": str(tmp_path)})
+    assert dash.returncode == named.returncode == 0
+    assert named.stdout == dash.stdout != ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

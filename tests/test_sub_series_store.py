@@ -338,3 +338,21 @@ def test_chain_convolutions_serve_only_an_equal_list():
     # a request with another list stores nothing
     assert memo.chain_convolutions(ks, euler, 6) == stored
     assert [value for value, _ in memo._store._entries[("chain convolutions", ks)][1]] == list(euler)
+
+
+def test_chain_convolutions_serve_each_request_its_own_list():
+    # (list, order, the list stored after the request): a request above the
+    # stored order replaces the entry, whether its list differs or not
+    ks = (1, 2)
+    memo = FamilyMemo()
+    euler = memo.euler_order(2, "x", 8).values
+    other = [value + 1 for value in euler]
+    requests = [
+        (euler, 4, euler), (other, 6, other), (euler, 5, other), (other, 3, other),
+        (euler, 8, euler), (other, 8, euler), (euler, 2, euler),
+    ]
+    for a, n, kept in requests:
+        want = verify._binomial_convolutions(a[: n + 1], memo.chain_factors(ks, n), n)
+        assert memo.chain_convolutions(ks, a[: n + 1], n) == want
+        order, entry = memo._store._entries[("chain convolutions", ks)]
+        assert [value for value, _ in entry] == list(kept[: order + 1])
