@@ -9,7 +9,6 @@ functions, and mechanically verifies the identities relating them.
 __version__ = "0.1.0"
 
 from .degen import (
-    StirlingTable,
     classical_falling_factorial,
     deg_exp,
     deg_log,
@@ -65,7 +64,6 @@ __all__ = [
     "ONE",
     "ZERO",
     "TruncatedSeries",
-    "StirlingTable",
     "classical_falling_factorial",
     "deg_exp",
     "deg_log",

@@ -35,7 +35,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__, degen, families
 from . import verify as verify_mod
-from .degen import StirlingTable
 from .poly import LAM, MultiPoly, render_terms, term_texts
 
 # --family -> (module, builder name, builder inputs before n_max, family id).
@@ -253,8 +252,8 @@ def _render_csv(rows: list[tuple[int, int | None, list]]) -> str:
 
 def _entries(built):
     """(n, k, value) for a family, a series, or (with k) the Stirling triangle."""
-    if isinstance(built, StirlingTable):
-        return [(n, k, value) for n, row in enumerate(built.entries) for k, value in enumerate(row)]
+    if isinstance(built, tuple):
+        return [(n, k, value) for n, row in enumerate(built) for k, value in enumerate(row)]
     values = built.values if isinstance(built, families.PolyFamily) else built.coeffs
     return [(n, None, value) for n, value in enumerate(values)]
 

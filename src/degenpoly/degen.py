@@ -10,7 +10,8 @@ reduces to a classical object at lambda = 0:
 * degenerate logarithm ``log_lambda(1 + t)``, the compositional inverse of
   ``e_lambda(t) - 1``
 * degenerate Stirling numbers of the first kind, via the triangular
-  recurrence ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)``
+  recurrence ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)``, as the
+  tuple of rows ``S(n, 0..n)``
 * polyexponential functions: the modified polyexponential ``Ei_k``, its
   degenerate version ``Ei_{k,lambda}``, and the degenerate multiple
   polyexponential ``Ei_{(k_1..k_r),lambda}`` summed over strictly increasing
@@ -29,7 +30,6 @@ lambda directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -132,38 +132,13 @@ def deg_log(order: int, *, lam: MultiPoly = LAM) -> TruncatedSeries:
     return TruncatedSeries(order, coeffs)
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Triangle of degenerate Stirling numbers of the first kind.
-
-    ``entries[n][k]`` holds ``S_{1,lambda}(n, k)`` for ``0 <= k <= n <= n_max``
-    as polynomials in lambda.
-    """
-
-    entries: tuple[tuple[MultiPoly, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("a Stirling table needs at least one row")
-        for n, row in enumerate(self.entries):
-            if len(row) != n + 1:
-                raise ValueError(f"expected {n + 1} entries in row {n}, got {len(row)}")
-
-    @property
-    def n_max(self) -> int:
-        """The last row's n."""
-        return len(self.entries) - 1
-
-    def value(self, n: int, k: int) -> MultiPoly:
-        if not 0 <= n <= self.n_max or k < 0:
-            raise ValueError(f"Stirling index ({n}, {k}) outside table range")
-        return self.entries[n][k] if k <= n else ZERO
-
-
-def stirling1_deg_recurrence(n_max: int, *, lam: MultiPoly = LAM) -> StirlingTable:
+def stirling1_deg_recurrence(
+    n_max: int, *, lam: MultiPoly = LAM
+) -> tuple[tuple[MultiPoly, ...], ...]:
     """Build the Stirling triangle from the two-term recurrence.
 
     ``S(0,0) = 1`` and ``S(n+1, k) = S(n, k-1) + (k lambda - n) S(n, k)``.
+    Row n of the result holds ``S_{1,lambda}(n, k)`` for k = 0..n.
     """
     read_count(n_max)
     read_lam(lam)
@@ -175,7 +150,7 @@ def stirling1_deg_recurrence(n_max: int, *, lam: MultiPoly = LAM) -> StirlingTab
             for k in range(n + 2)
         )
         rows.append(tuple(row))
-    return StirlingTable(tuple(rows))
+    return tuple(rows)
 
 
 def polyexp_modified(k: int, order: int) -> TruncatedSeries:

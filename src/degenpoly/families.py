@@ -72,8 +72,9 @@ class SubSeriesStore:
     A request at or below that order is served as a prefix of the stored
     sequence, since the low coefficients of a truncated series do not
     depend on where it is cut; a larger order builds the sequence again.
-    Callers store plain sequences (coefficients, family values, table
-    rows) and wrap what they are served.  The store is active while
+    Callers store plain sequences (coefficients, family values, the
+    Stirling rows) and wrap what they are served, apart from the Stirling
+    rows, which are already the triangle.  The store is active while
     ``build`` runs, so the family builders it calls share their sub-series
     through it.  One store belongs to one
     :class:`~degenpoly.verify.FamilyMemo`, which keeps its families, chain

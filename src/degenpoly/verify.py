@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Sequence
 
 from . import families
 from .degen import (
-    StirlingTable,
     classical_falling_factorial,
     deg_exp,
     deg_falling_factorials,
@@ -124,8 +123,9 @@ class FamilyMemo:
     family's values are built once per builder and parameters, at the
     largest order asked so far, and a request at or below that order is
     served as a prefix of them, since the low coefficients of a truncated
-    series do not depend on where it is cut; each accessor wraps what it
-    is served in its own type.  The same holds for the chain
+    series do not depend on where it is cut; a family accessor wraps what it
+    is served in a :class:`~degenpoly.families.PolyFamily`, and the Stirling
+    rows are served as stored.  The same holds for the chain
     products per r and the chain factors per k-list that Thm1, Cor2 and
     Thm3 share, for the right sides of Thm1 and Cor2 per k-list, kept next
     to the list they were convolved from (:meth:`chain_convolutions`), and
@@ -192,13 +192,14 @@ class FamilyMemo:
         r = read_count(r, "r", least=1)
         return self._family(families.euler_deg_order, (r,), argument, n_max)
 
-    def stirling(self, n_max: int) -> StirlingTable:
-        """The Stirling triangle, stored under its builder like a family; looked up at each call."""
+    def stirling(self, n_max: int) -> tuple[tuple[MultiPoly, ...], ...]:
+        """The Stirling rows 0..n_max as the store serves them, stored under their builder.
+
+        The builder is looked up at each call, so a patched
+        ``stirling1_deg_recurrence`` reaches the stored rows.
+        """
         n_max = read_count(n_max)
-        entries = self._store.get(
-            (stirling1_deg_recurrence, ()), n_max, lambda n: stirling1_deg_recurrence(n).entries
-        )
-        return StirlingTable(entries)
+        return self._store.get((stirling1_deg_recurrence, ()), n_max, stirling1_deg_recurrence)
 
     def falling_factorials(self, base: str, n_max: int) -> list[MultiPoly]:
         """``(base)_{m,lambda}`` for m = 0..n_max, one :func:`deg_falling_factorials` per base.
@@ -277,7 +278,7 @@ def _chain_products(r: int, n_max: int) -> list[list[tuple[tuple[int, ...], Mult
 
 def _chain_factors(
     ks: Sequence[int],
-    stirling: StirlingTable,
+    stirling: Sequence[Sequence[MultiPoly]],
     products: Sequence[Sequence],
     ones: Sequence[MultiPoly],
 ) -> list[MultiPoly]:
@@ -288,7 +289,8 @@ def _chain_factors(
     ``(n_1-1)! ... (n_{r-1}-1)! * n_1^{k_1} ... n_{r-1}^{k_{r-1}} * n_r^{k_r - 1}``.
     ``products`` are the chain products below the top of
     :func:`_chain_products` for ``r = len(ks)`` and ``ones`` the
-    ``(1)_{m,lambda}``, both up to ``stirling.n_max``.  Each chain keeps its
+    ``(1)_{m,lambda}``, both up to the last of the Stirling rows
+    ``stirling[j] = S_{1,lambda}(j, 0..j)``.  Each chain keeps its
     own term; ``(1)_{top,lambda}``, common to a top's chains, multiplies
     their sum once.
     """
@@ -315,8 +317,8 @@ def _chain_factors(
 
     by_top = [chain_sum(top, chains) for top, chains in enumerate(products)]
     return [
-        sum_of_products((1, by_top[top], stirling.value(j, top)) for top in range(1, j + 1))
-        for j in range(stirling.n_max + 1)
+        sum_of_products((1, by_top[top], stirling[j][top]) for top in range(1, j + 1))
+        for j in range(len(stirling))
     ]
 
 
@@ -512,7 +514,7 @@ def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyRepor
     reports.append(VerifyReport("InverseLogExp", (("n_max", n_max),), tuple(cells)))
 
     cells = []
-    for n, row in enumerate(memo.stirling(n_max).entries):
+    for n, row in enumerate(memo.stirling(n_max)):
         classical = classical_falling_factorial(n)
         for k, value in enumerate(row):
             params = (("case", "stirling1 classical"), ("n", n), ("k", k))

@@ -11,12 +11,11 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from degenpoly.degen import StirlingTable
 from degenpoly.poly import MultiPoly, sum_of_products
 
 
 def chain_factors(
-    ks: Sequence[int], stirling: StirlingTable, products: Sequence[Sequence]
+    ks: Sequence[int], stirling: Sequence[Sequence[MultiPoly]], products: Sequence[Sequence]
 ) -> list[MultiPoly]:
     """Chain sums shared by Thm1/Cor2/Thm3 right-hand sides.
 
@@ -24,7 +23,8 @@ def chain_factors(
     ``prod_i (1)_{n_i,lambda} * S_{1,lambda}(j, n_r)`` divided by
     ``(n_1-1)! ... (n_{r-1}-1)! * n_1^{k_1} ... n_{r-1}^{k_{r-1}} * n_r^{k_r - 1}``.
     ``products`` are the chain products of :func:`_chain_products` for
-    ``r = len(ks)``, up to ``stirling.n_max``.
+    ``r = len(ks)``, up to the last of the Stirling rows
+    ``stirling[j] = S_{1,lambda}(j, 0..j)``.
     """
     def weight(chain: tuple[int, ...]) -> MultiPoly:
         scale = Fraction(chain[-1]) ** (-(ks[-1] - 1))
@@ -36,6 +36,6 @@ def chain_factors(
         sum_of_products((1, prod, weight(chain)) for chain, prod in chains) for chains in products
     ]
     return [
-        sum_of_products((1, by_top[top], stirling.value(j, top)) for top in range(1, j + 1))
-        for j in range(stirling.n_max + 1)
+        sum_of_products((1, by_top[top], stirling[j][top]) for top in range(1, j + 1))
+        for j in range(len(stirling))
     ]

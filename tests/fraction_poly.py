@@ -203,14 +203,6 @@ class MultiPoly:
         i = _SYMBOL_INDEX[symbol]
         return max((exps[i] for exps in self.terms), default=0)
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0, 0)}
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"polynomial is not constant: {self}")
-        return self.terms.get((0, 0, 0), Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in canonical order (descending exponent triples)."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)

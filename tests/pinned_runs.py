@@ -4,19 +4,24 @@
 file under ``tests/data`` that holds the run's exact output, or
 ``sha256:<hex>`` of that output where the output is too large to keep
 (the full verify sweeps) or no golden file holds it.  The golden test in
-``test_cli.py`` and criterion 10 of ``test_acceptance.py`` run every entry
-with ``--out``, and CI runs every entry through the installed
-``degenpoly`` console script and checks its stdout; :func:`matches` is the
-one check of a run's bytes against its pin.
+``test_cli.py`` and criterion 10 of ``test_acceptance.py`` both check every
+entry through :func:`pinned_output`, which runs each argv once per session
+with ``--out``, and CI runs every entry through the installed ``degenpoly``
+console script and checks its stdout; :func:`matches` is the one check of a
+run's bytes against its pin.
 """
 
+import functools
 import hashlib
+import tempfile
 from pathlib import Path
+
+from cli_subprocess import run_cli
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 PINNED_RUNS = [
-    (pin, argv.split(), code)
+    (pin, tuple(argv.split()), code)
     for pin, argv, code in [
         ("genocchi_lam0_arg0_n8.csv",
          "compute --family genocchi --n-max 8 --lambda 0 --arg 0 --format csv", 0),
@@ -50,6 +55,14 @@ PINNED_RUNS = [
          "compute --family multi-polyexp --ks=2,1,1 --n-max 6 --lambda=-2 --format csv", 0),
     ]
 ]
+
+
+@functools.cache
+def pinned_output(argv: tuple[str, ...]) -> tuple[int, bytes]:
+    """Exit code and ``--out`` bytes of this checkout's CLI on ``argv``, run once per session."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        return run_cli(*argv, "--out", str(out)).returncode, out.read_bytes()
 
 
 def matches(pin: str, data: bytes) -> bool:

@@ -12,7 +12,7 @@ from degenpoly.cli import FAMILIES, main
 from degenpoly.families import poly_genocchi_deg
 from degenpoly.poly import MultiPoly
 from cli_subprocess import run_cli
-from pinned_runs import DATA_DIR, PINNED_RUNS, matches
+from pinned_runs import DATA_DIR, PINNED_RUNS, matches, pinned_output
 
 
 def read_poly(text: str) -> MultiPoly:
@@ -131,11 +131,10 @@ def test_negative_n_max_is_a_usage_error_of_either_subcommand(command, capsys):
     PINNED_RUNS,
     ids=[" ".join(a) if p.startswith("sha256:") else p for p, a, _ in PINNED_RUNS],
 )
-def test_golden_files_regenerate_byte_exact(pin, args, code, tmp_path):
-    out = tmp_path / "out"
-    proc = run_cli(*args, "--out", str(out))
-    assert proc.returncode == code, proc.stderr
-    assert matches(pin, out.read_bytes())
+def test_golden_files_regenerate_byte_exact(pin, args, code):
+    returncode, data = pinned_output(args)
+    assert returncode == code
+    assert matches(pin, data)
 
 
 def test_determinism_repeated_invocations():

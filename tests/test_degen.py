@@ -12,7 +12,6 @@ import pytest
 
 from degenpoly import poly
 from degenpoly.degen import (
-    StirlingTable,
     classical_falling_factorial,
     deg_exp,
     deg_falling_factorials,
@@ -116,30 +115,27 @@ def test_inverse_pair_exact(order):
 
 def test_stirling_recurrence_hand_values():
     table = stirling1_deg_recurrence(3)
-    assert table.value(0, 0) == ONE
-    assert table.value(1, 0) == ZERO
-    assert table.value(2, 1) == LAM - 1
-    assert table.value(3, 2) == 3 * LAM - 3
-    assert table.value(3, 1) == LAM**2 - 3 * LAM + 2
-    assert table.value(3, 3) == ONE
-    assert table.value(2, 3) == ZERO  # k > n
-    with pytest.raises(ValueError):
-        table.value(4, 0)
+    assert [len(row) for row in table] == [1, 2, 3, 4]  # row n holds k = 0..n
+    assert table[0][0] == ONE
+    assert table[1][0] == ZERO
+    assert table[2][1] == LAM - 1
+    assert table[3][2] == 3 * LAM - 3
+    assert table[3][1] == LAM**2 - 3 * LAM + 2
+    assert table[3][3] == ONE
     with pytest.raises(ValueError):
         stirling1_deg_recurrence(-1)
 
 
 def test_stirling_table_rows_must_be_triangular():
-    rows = stirling1_deg_recurrence(3).entries
-    table = StirlingTable(rows)
-    assert table.n_max == 3
-    assert table.value(3, 1) == LAM**2 - 3 * LAM + 2
-    with pytest.raises(ValueError, match="at least one row"):
-        StirlingTable(())
-    bad_rows = [rows[:2] + ((ONE,),) + rows[3:], rows[:3] + (rows[3] + (ONE,),)]
-    for bad in bad_rows:
-        with pytest.raises(ValueError, match="entries in row"):
-            StirlingTable(bad)
+    # the triangle is its rows: row n holds k = 0..n, S(n, n) = 1, and a
+    # shorter triangle is a prefix of a longer one, for symbolic and numeric lambda
+    for lam in (LAM, MultiPoly.const(Fraction(1, 3))):
+        full = stirling1_deg_recurrence(7, lam=lam)
+        assert isinstance(full, tuple) and all(isinstance(row, tuple) for row in full)
+        assert [len(row) for row in full] == list(range(1, 9))
+        assert all(row[-1] == ONE for row in full)
+        for n_max in range(8):
+            assert stirling1_deg_recurrence(n_max, lam=lam) == full[: n_max + 1]
 
 
 def test_stirling_triple_oracle_to_12():
@@ -149,7 +145,7 @@ def test_stirling_triple_oracle_to_12():
         # independent route: expand (x)_n over the monic basis (x)_{m,lambda}
         by_basis = falling_basis_coeffs(classical_falling_factorial(n), n)
         for k in range(n + 1):
-            recurrence = table.value(n, k)
+            recurrence = table[n][k]
             assert recurrence == stirling1_deg_series(n, k, n_max), (n, k)
             assert recurrence == by_basis[k], (n, k)
 
@@ -162,7 +158,7 @@ def test_stirling_classical_limit():
     for n in range(n_max + 1):
         fall = classical_falling_factorial(n)
         for k in range(n + 1):
-            assert table.value(n, k).substitute("lambda", 0) == fall.coeff_x(k)
+            assert table[n][k].substitute("lambda", 0) == fall.coeff_x(k)
 
 
 def test_stirling_series_route_validation():

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from degenpoly import degen, families, verify
-from degenpoly.degen import StirlingTable, deg_falling_factorials
+from degenpoly.degen import deg_falling_factorials
 from degenpoly.poly import LAM, ZERO
 from degenpoly.series import TruncatedSeries
 from degenpoly.verify import FamilyMemo, run_identity
@@ -74,9 +74,9 @@ def _faults():
         table = stirling(n_max, **lam)
         if n_max < 4:
             return table
-        rows = [list(row) for row in table.entries]
+        rows = [list(row) for row in table]
         rows[4][2] = rows[4][2] + LAM**2
-        return StirlingTable(tuple(map(tuple, rows)))
+        return tuple(map(tuple, rows))
 
     def inverse_squared_bumped(r, order, **lam):
         power = inverse_power(r, order, **lam)

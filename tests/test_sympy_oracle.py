@@ -242,7 +242,7 @@ def test_stirling_triangle_matches_the_basis_change():
     table = stirling1_deg_recurrence(N)
     for n in range(N + 1):
         for k, expected in enumerate(stirling1_by_basis_change(n)):
-            assert sympy.expand(to_sympy(table.value(n, k)) - expected) == 0, (n, k)
+            assert sympy.expand(to_sympy(table[n][k]) - expected) == 0, (n, k)
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-2)])
