@@ -20,8 +20,8 @@ reduces to a classical object at lambda = 0:
 Series weights and bases may be the symbols ``"x"``, ``"y"``, the sum
 ``"x+y"``, or any exact rational.  Each kind of input has one reader:
 :func:`index_tuple`, :func:`read_lam` and :func:`read_argument` here, and
-:func:`~degenpoly.series.read_count`, re-exported from
-:mod:`degenpoly.series`, the lowest module that reads a count.  Each
+:func:`~degenpoly.poly.read_count`, which lives in :mod:`degenpoly.poly`,
+the lowest module that reads a count, and is re-exported here.  Each
 builder that reads lambda takes it as the keyword ``lam``: the symbol
 ``LAM`` by default, or a constant polynomial to build at that value of
 lambda directly.
@@ -33,8 +33,8 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .poly import LAM, ONE, X, Y, ZERO, MultiPoly, sum_of_products
-from .series import TruncatedSeries, read_count
+from .poly import LAM, ONE, X, Y, ZERO, MultiPoly, read_count, sum_of_products
+from .series import TruncatedSeries
 
 Argument = Union[str, int, Fraction]
 

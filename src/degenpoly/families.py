@@ -73,10 +73,11 @@ class SubSeriesStore:
     sequence, since the low coefficients of a truncated series do not
     depend on where it is cut; a larger order builds the sequence again.
     Callers store plain sequences (coefficients, family values, the
-    Stirling rows) and wrap what they are served, apart from the Stirling
-    rows, which are already the triangle.  The store is active while
-    ``build`` runs, so the family builders it calls share their sub-series
-    through it.  One store belongs to one
+    Stirling rows): a shared sub-series is served as coefficients, which
+    its builder wraps in a :class:`~degenpoly.series.TruncatedSeries`, and
+    family values and the Stirling rows are served as stored.  The store
+    is active while ``build`` runs, so the family builders it calls share
+    their sub-series through it.  One store belongs to one
     :class:`~degenpoly.verify.FamilyMemo`, which keeps its families, chain
     sums and those sub-series in it.
     """

@@ -79,6 +79,16 @@ def _fraction(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
+def read_count(value: int, name: str = "n_max", least: int = 0) -> int:
+    """Every count (``n_max``, an order, r, an index): an ``int``, never a bool, ``>= least``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
 def _shift(symbol: str) -> int:
     if symbol not in _SHIFT:
         raise ValueError(f"unknown symbol {symbol!r}, expected one of {SYMBOLS}")
@@ -217,9 +227,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        return power_by_squaring(self, n) if n else MultiPoly.const(1)
+        if read_count(n, "polynomial exponent") == 0:
+            return MultiPoly.const(1)
+        return power_by_squaring(self, n)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -255,6 +265,7 @@ class MultiPoly:
 
     def coeff_x(self, power: int) -> "MultiPoly":
         """Coefficient of x**power, as a polynomial in lambda and y."""
+        read_count(power, "x exponent")
         x_field = _FIELD << 20
         return _canonical(
             {key ^ power << 20: v for key, v in self.num.items() if key & x_field == power << 20},

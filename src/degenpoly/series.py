@@ -16,23 +16,13 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .poly import MultiPoly, ZERO, power_by_squaring, sum_of_products
+from .poly import MultiPoly, ZERO, power_by_squaring, read_count, sum_of_products
 
 CoeffLike = Union[MultiPoly, int, Fraction]
 
 
 def _as_poly(value: CoeffLike) -> MultiPoly:
     return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
-
-
-def read_count(value: int, name: str = "n_max", least: int = 0) -> int:
-    """Every count (``n_max``, an order, r, an index): an ``int``, never a bool, ``>= least``."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-    return value
 
 
 def square_terms(

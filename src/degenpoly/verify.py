@@ -52,7 +52,6 @@ from .degen import (
     read_count,
     stirling1_deg_recurrence,
 )
-from .families import PolyFamily
 from .poly import ONE, X, ZERO, MultiPoly, sum_of_products
 from .series import TruncatedSeries
 
@@ -123,9 +122,9 @@ class FamilyMemo:
     family's values are built once per builder and parameters, at the
     largest order asked so far, and a request at or below that order is
     served as a prefix of them, since the low coefficients of a truncated
-    series do not depend on where it is cut; a family accessor wraps what it
-    is served in a :class:`~degenpoly.families.PolyFamily`, and the Stirling
-    rows are served as stored.  The same holds for the chain
+    series do not depend on where it is cut; a family accessor serves the
+    tuple of values the store holds, and the Stirling rows are served as
+    stored, with no re-wrapping.  The same holds for the chain
     products per r and the chain factors per k-list that Thm1, Cor2 and
     Thm3 share, for the right sides of Thm1 and Cor2 per k-list, kept next
     to the list they were convolved from (:meth:`chain_convolutions`), and
@@ -155,8 +154,10 @@ class FamilyMemo:
         self.corrupt = corrupt
         self._store = families.SubSeriesStore()
 
-    def _family(self, builder: Callable, params: tuple, argument, n_max: int) -> PolyFamily:
-        """``builder(*params, argument, n_max)``, built once per builder and params.
+    def _family(
+        self, builder: Callable, params: tuple, argument, n_max: int
+    ) -> tuple[MultiPoly, ...]:
+        """The values of ``builder(*params, argument, n_max)``, built once per builder and params.
 
         The key holds the builder, so families that coincide mathematically
         (``poly_genocchi(k)`` and ``multi_poly_genocchi((k,))``) stay separate
@@ -166,29 +167,26 @@ class FamilyMemo:
         """
         params = (*params, read_argument(argument))
         n_max = read_count(n_max)
-        values = self._store.get((builder, params), n_max, lambda n: builder(*params, n).values)
-        return PolyFamily(values)
+        return self._store.get((builder, params), n_max, lambda n: builder(*params, n).values)
 
-    def multi_poly_genocchi(self, ks, argument, n_max: int) -> PolyFamily:
-        fam = self._family(families.multi_poly_genocchi_deg, (index_tuple(ks),), argument, n_max)
+    def multi_poly_genocchi(self, ks, argument, n_max: int) -> tuple[MultiPoly, ...]:
+        values = self._family(families.multi_poly_genocchi_deg, (index_tuple(ks),), argument, n_max)
         if self.corrupt and argument == "x":
-            values = list(fam.values)
-            values[-1] = values[-1] + 1
-            fam = PolyFamily(tuple(values))
-        return fam
+            values = (*values[:-1], values[-1] + 1)
+        return values
 
-    def poly_genocchi(self, k: int, argument, n_max: int) -> PolyFamily:
+    def poly_genocchi(self, k: int, argument, n_max: int) -> tuple[MultiPoly, ...]:
         return self._family(families.poly_genocchi_deg, index_tuple((k,)), argument, n_max)
 
-    def genocchi(self, argument, n_max: int) -> PolyFamily:
+    def genocchi(self, argument, n_max: int) -> tuple[MultiPoly, ...]:
         """The order-1 Genocchi family, so it shares that entry of the store."""
         return self.genocchi_order(1, argument, n_max)
 
-    def genocchi_order(self, r: int, argument, n_max: int) -> PolyFamily:
+    def genocchi_order(self, r: int, argument, n_max: int) -> tuple[MultiPoly, ...]:
         r = read_count(r, "r", least=1)
         return self._family(families.genocchi_deg_order, (r,), argument, n_max)
 
-    def euler_order(self, r: int, argument, n_max: int) -> PolyFamily:
+    def euler_order(self, r: int, argument, n_max: int) -> tuple[MultiPoly, ...]:
         r = read_count(r, "r", least=1)
         return self._family(families.euler_deg_order, (r,), argument, n_max)
 
@@ -356,11 +354,11 @@ def check_theorem1(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[Ve
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
     cells = []
     for n in range(min(r, n_max + 1)):
-        if fam.values[n]:
-            cells.append(_cell((("clause", "vanishing"), ("n", n)), fam.values[n], ZERO))
+        if fam[n]:
+            cells.append(_cell((("clause", "vanishing"), ("n", n)), fam[n], ZERO))
     if n_max >= r:
-        euler = memo.euler_order(r, "x", n_max).values
-        cells += _rows((), fam.values, memo.chain_convolutions(ks, euler, n_max), r)
+        euler = memo.euler_order(r, "x", n_max)
+        cells += _rows((), fam, memo.chain_convolutions(ks, euler, n_max), r)
     return cells
 
 
@@ -377,10 +375,10 @@ def check_corollary2(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[
     # whenever Eq19 holds, so the memo may serve Thm1's right sides
     r_fact = math.factorial(r)
     euler = [
-        gen_r.values[l + r] * Fraction(1, r_fact * math.comb(l + r, l))
+        gen_r[l + r] * Fraction(1, r_fact * math.comb(l + r, l))
         for l in range(n_max + 1)
     ]
-    return _rows((), fam.values, memo.chain_convolutions(ks, euler, n_max), r)
+    return _rows((), fam, memo.chain_convolutions(ks, euler, n_max), r)
 
 
 @_per_k_list("Thm3")
@@ -397,9 +395,9 @@ def check_theorem3(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[Ve
         weight = math.comb(r, l) * (-1) ** l * 2 ** (r - l)
         numbers = memo.euler_order(l, Fraction(0), n_max)
         for m in range(n_max + 1):
-            euler_mix[m] = euler_mix[m] + weight * numbers.values[m]
+            euler_mix[m] = euler_mix[m] + weight * numbers[m]
     rhs = _binomial_convolutions(euler_mix, memo.chain_factors(ks, n_max), n_max)
-    return _rows((), fam.values, rhs, r)
+    return _rows((), fam, rhs, r)
 
 
 @_per_k_list("Prop4")
@@ -408,7 +406,7 @@ def check_prop4(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[Verif
     fam_xy = memo.multi_poly_genocchi(ks, "x+y", n_max)
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     fall_y = memo.falling_factorials("y", n_max)
-    return _rows((), fam_xy.values, _binomial_convolutions(fam_x.values, fall_y, n_max))
+    return _rows((), fam_xy, _binomial_convolutions(fam_x, fall_y, n_max))
 
 
 @_per_k_list("Eq15")
@@ -417,14 +415,14 @@ def check_eq15(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[Verify
     fam_x = memo.multi_poly_genocchi(ks, "x", n_max)
     numbers = memo.multi_poly_genocchi(ks, Fraction(0), n_max)
     fall_x = memo.falling_factorials("x", n_max)
-    return _rows((), fam_x.values, _binomial_convolutions(numbers.values, fall_x, n_max))
+    return _rows((), fam_x, _binomial_convolutions(numbers, fall_x, n_max))
 
 
 @_per_k_list("Vanishing")
 def check_vanishing(ks: tuple[int, ...], n_max: int, memo: FamilyMemo) -> list[VerifyCell]:
     """g_n vanishes identically for n below the number of indices."""
     fam = memo.multi_poly_genocchi(ks, "x", n_max)
-    lhs = fam.values[: len(ks)]
+    lhs = fam[: len(ks)]
     return _rows((), lhs, [ZERO] * len(lhs))
 
 
@@ -439,8 +437,8 @@ def check_eq19(n_max: int, r_max: int = EQ19_R_MAX, memo: FamilyMemo | None = No
     memo = memo or FamilyMemo()
     cells = []
     for r in range(1, r_max + 1):
-        euler = memo.euler_order(r, "x", n_max).values
-        gen = memo.genocchi_order(r, "x", n_max + r).values
+        euler = memo.euler_order(r, "x", n_max)
+        gen = memo.genocchi_order(r, "x", n_max + r)
         scale = math.factorial(r)
         lhs = [value * (scale * math.comb(n + r, n)) for n, value in enumerate(euler)]
         cells += _rows((("r", r),), lhs, gen[r:])
@@ -451,18 +449,16 @@ def check_reduction(n_max: int, memo: FamilyMemo | None = None) -> VerifyReport:
     """Single-index reductions: ks=[1] gives Genocchi, ks=[k] gives poly-Genocchi."""
     read_count(n_max)
     memo = memo or FamilyMemo()
-    plain = memo.genocchi("x", n_max).values
+    plain = memo.genocchi("x", n_max)
     cells = _rows(
-        (("case", "ks=[1] vs genocchi"),), memo.multi_poly_genocchi((1,), "x", n_max).values, plain
+        (("case", "ks=[1] vs genocchi"),), memo.multi_poly_genocchi((1,), "x", n_max), plain
     )
-    cells += _rows(
-        (("case", "k=1 poly vs genocchi"),), memo.poly_genocchi(1, "x", n_max).values, plain
-    )
+    cells += _rows((("case", "k=1 poly vs genocchi"),), memo.poly_genocchi(1, "x", n_max), plain)
     for k in (-2, -1, 0, 1, 2):
         cells += _rows(
             (("case", "ks=[k] vs poly"), ("k", k)),
-            memo.multi_poly_genocchi((k,), "x", n_max).values,
-            memo.poly_genocchi(k, "x", n_max).values,
+            memo.multi_poly_genocchi((k,), "x", n_max),
+            memo.poly_genocchi(k, "x", n_max),
         )
     return VerifyReport("ReductionR1K1", (("n_max", n_max),), tuple(cells))
 
@@ -521,7 +517,7 @@ def check_basics(n_max: int, memo: FamilyMemo | None = None) -> list[VerifyRepor
             cells.append(_cell(params, value.substitute("lambda", 0), classical.coeff_x(k)))
     cells += _rows(
         (("case", "genocchi numbers"),),
-        _at_lambda0(memo.genocchi(Fraction(0), n_max).values),
+        _at_lambda0(memo.genocchi(Fraction(0), n_max)),
         map(MultiPoly.const, _classical_genocchi_numbers(n_max)),
     )
     exp_x = deg_exp("x", n_max)
@@ -587,14 +583,15 @@ def run_identity(
     ``k_lists`` defaults to :func:`default_k_lists`; default lists whose
     length exceeds ``n_max`` are skipped, while an explicit list longer than
     ``n_max`` still runs and may yield vacuous (zero-cell) reports.  An
-    unknown identity or a negative ``n_max`` raises ``ValueError``.
+    unknown identity or a negative ``n_max`` raises ``ValueError``.  ``n_max``
+    and every explicit list are read before anything is built.
     """
     read_count(n_max)
+    if k_lists is None:
+        lists = [ks for ks in default_k_lists() if len(ks) <= n_max]
+    else:
+        lists = [index_tuple(ks) for ks in k_lists]
     memo = memo or FamilyMemo()
-    explicit = k_lists is not None
-    lists = [tuple(ks) for ks in k_lists] if explicit else list(default_k_lists())
-    if not explicit:
-        lists = [ks for ks in lists if len(ks) <= n_max]
     if identity in PER_KS_CHECKS:
         return [PER_KS_CHECKS[identity](ks, n_max, memo) for ks in lists]
     if identity == "basics":

@@ -117,12 +117,12 @@ def test_criterion_05_prop4_trivariate(sweep):
         fam_x = memo.multi_poly_genocchi(ks, "x", PROP4_N_MAX)
         numbers = memo.multi_poly_genocchi(ks, Fraction(0), PROP4_N_MAX)
         for n in range(PROP4_N_MAX + 1):
-            ok = ok and fam_xy.values[n].substitute("y", 0) == fam_x.values[n]
+            ok = ok and fam_xy[n].substitute("y", 0) == fam_x[n]
             # x = 0 reproduces the number expansion in y
             rhs = ZERO
             for l in range(n + 1):
-                rhs = rhs + math.comb(n, l) * numbers.values[l] * fall_y[n - l]
-            ok = ok and fam_xy.values[n].substitute("x", 0) == rhs
+                rhs = rhs + math.comb(n, l) * numbers[l] * fall_y[n - l]
+            ok = ok and fam_xy[n].substitute("x", 0) == rhs
     report(
         "criterion 5: Proposition 4 trivariate identity and specializations",
         ok,

@@ -5,7 +5,6 @@ G_0..G_8, written out as integers.
 """
 
 import dataclasses
-import inspect
 import math
 from fractions import Fraction
 
@@ -63,89 +62,6 @@ def test_genocchi_polynomial_argument_forms():
     # a float argument is not a rational: 0.1 used to become 3602879701896397/2^55
     with pytest.raises(TypeError):
         genocchi_deg(0.1, 3)
-
-
-def test_genocchi_order_rejects_order_zero():
-    with pytest.raises(ValueError):
-        genocchi_deg_order(0, "x", 4)
-
-
-# each builder takes its inputs as keywords, valid by default; a case replaces one
-BUILDERS = {
-    "genocchi": lambda argument="x", n_max=14: genocchi_deg(argument, n_max),
-    "genocchi_order": lambda argument="x", n_max=14, r=2: genocchi_deg_order(r, argument, n_max),
-    "euler_order": lambda argument="x", n_max=14, r=2: euler_deg_order(r, argument, n_max),
-    "poly": lambda argument="x", n_max=14, k=2: poly_genocchi_deg(k, argument, n_max),
-    "multi": lambda argument="x", n_max=14: multi_poly_genocchi_deg((-1, 1, 2), argument, n_max),
-}
-BAD_INPUTS = [
-    ("argument", "z", ValueError),
-    ("argument", True, TypeError),
-    ("n_max", True, TypeError),
-    ("r", True, TypeError),
-    ("r", 2.0, TypeError),
-    ("k", True, TypeError),
-    ("k", 2.0, TypeError),
-]
-
-
-def _bad_input_cases():
-    """(builder, {input: bad value}, error) for each input a builder takes."""
-    for name, build in sorted(BUILDERS.items()):
-        for slot, value, error in BAD_INPUTS:
-            if slot in inspect.signature(build).parameters:
-                label = value if slot == "argument" else f"{slot}={value}"
-                case_id = f"{name}-{label}-{error.__name__}"
-                yield pytest.param(name, {slot: value}, error, id=case_id)
-
-
-@pytest.mark.parametrize("builder, inputs, error", _bad_input_cases())
-def test_bad_argument_raises_before_the_kernel_is_built(builder, inputs, error, monkeypatch):
-    # a bool is never read as 0 or 1, and a float k or r fails before any
-    # kernel work, not deep in the arithmetic
-    calls = []
-    for name in ("deg_multi_polyexp", "deg_polyexp", "_two_over_exp_plus_one"):
-        original = getattr(families, name)
-
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(families, name, spy)
-    with pytest.raises(error):
-        BUILDERS[builder](**inputs)
-    assert calls == []
-
-
-LAM_BUILDERS = {
-    "deg_falling_factorials": lambda lam: degen.deg_falling_factorials("x", 4, lam=lam),
-    "deg_exp": lambda lam: degen.deg_exp("x", 4, lam=lam),
-    "deg_log": lambda lam: degen.deg_log(4, lam=lam),
-    "stirling1_deg_recurrence": lambda lam: degen.stirling1_deg_recurrence(4, lam=lam),
-    "deg_polyexp": lambda lam: degen.deg_polyexp(2, 4, lam=lam),
-    "deg_multi_polyexp": lambda lam: degen.deg_multi_polyexp((1, 2), 4, lam=lam),
-    "genocchi_deg": lambda lam: genocchi_deg("x", 4, lam=lam),
-    "genocchi_deg_order": lambda lam: genocchi_deg_order(2, "x", 4, lam=lam),
-    "euler_deg_order": lambda lam: euler_deg_order(2, "x", 4, lam=lam),
-    "poly_genocchi_deg": lambda lam: poly_genocchi_deg(2, "x", 4, lam=lam),
-    "multi_poly_genocchi_deg": lambda lam: multi_poly_genocchi_deg((1, 2), "x", 4, lam=lam),
-}
-BAD_LAMS = {
-    "2": (2, TypeError),
-    "1/2": (Fraction(1, 2), TypeError),
-    "x": (X, ValueError),
-    "lambda+1": (LAM + 1, ValueError),
-}
-
-
-@pytest.mark.parametrize("lam, error", BAD_LAMS.values(), ids=list(BAD_LAMS))
-@pytest.mark.parametrize("build", LAM_BUILDERS.values(), ids=list(LAM_BUILDERS))
-def test_lam_is_the_symbol_or_a_constant(build, lam, error):
-    # x would stand in for lambda, and a bare number is not a polynomial
-    with pytest.raises(error, match="^lam must be LAM or a constant MultiPoly"):
-        build(lam)
-    build(LAM)
-    build(MultiPoly.const(Fraction(1, 2)))
 
 
 def test_euler_order_hand_values():

@@ -3,7 +3,6 @@
 import itertools
 import json
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -11,7 +10,7 @@ import fraction_poly as ref
 from chain_enumeration import chain_products
 from fraction_chain_factors import chain_factors as fraction_chain_factors
 from degenpoly import cli, degen, families, verify
-from degenpoly.degen import deg_multi_polyexp, stirling1_deg_recurrence
+from degenpoly.degen import stirling1_deg_recurrence
 from degenpoly.poly import ZERO, MultiPoly
 from degenpoly.series import TruncatedSeries
 from degenpoly.verify import (
@@ -110,11 +109,6 @@ def test_edge_small_n_max():
     assert len(check_vanishing((1, 2, 1), 1, memo).cells) == 2
 
 
-def test_checkers_validate_ks():
-    with pytest.raises(ValueError):
-        check_theorem1((), 5)
-
-
 def test_corrupt_memo_fails_dependent_identities():
     memo = FamilyMemo(corrupt=True)
     assert not check_theorem1((1,), 5, memo).passed
@@ -146,8 +140,8 @@ def test_failed_cell_sides_read_back_as_the_compared_values():
     [cell] = [cell for cell in report.cells if not cell.passed]
     assert cell.params == (("n", 4),)
     lhs, rhs = (MultiPoly(ref.parse_poly(text).terms) for text in (cell.lhs, cell.rhs))
-    assert lhs == corrupt.multi_poly_genocchi((1, 2), "x", 4).values[4]
-    assert rhs == FamilyMemo().multi_poly_genocchi((1, 2), "x", 4).values[4]
+    assert lhs == corrupt.multi_poly_genocchi((1, 2), "x", 4)[4]
+    assert rhs == FamilyMemo().multi_poly_genocchi((1, 2), "x", 4)[4]
 
 
 def test_passing_cell_omits_sides():
@@ -262,7 +256,7 @@ def test_sweep_serves_genocchi_from_the_order_one_entry():
     heads = {key[0] for key in memo._store._entries if isinstance(key, tuple)}
     assert families.genocchi_deg_order in heads
     assert families.genocchi_deg not in heads
-    assert memo.genocchi("x", 8).values == memo.genocchi_order(1, "x", 8).values
+    assert memo.genocchi("x", 8) == memo.genocchi_order(1, "x", 8)
 
 
 def test_corrupt_memo_fails_every_multi_vs_poly_reduction():
@@ -319,18 +313,6 @@ def test_chain_factors_take_an_index_list():
     assert memo.chain_factors([1, 2], 5) == memo.chain_factors((1, 2), 5)
 
 
-def test_chain_factors_reject_an_empty_index_list():
-    with pytest.raises(ValueError, match="need at least one polyexponential index"):
-        FamilyMemo().chain_factors((), 5)
-
-
-def test_chain_factors_reject_a_bool_index():
-    memo = FamilyMemo()
-    memo.chain_factors((1, 2), 4)
-    with pytest.raises(TypeError):
-        memo.chain_factors((True, 2), 4)
-
-
 def _count_multi_builds(monkeypatch) -> list:
     """Record every multi-poly-Genocchi build the memo makes from now on."""
     built = []
@@ -345,7 +327,7 @@ def _count_multi_builds(monkeypatch) -> list:
 
 
 def test_memo_serves_lower_orders_from_the_largest_build(monkeypatch):
-    fresh = families.multi_poly_genocchi_deg((1, 2), "x", 4)
+    fresh = families.multi_poly_genocchi_deg((1, 2), "x", 4).values
     built = _count_multi_builds(monkeypatch)
     memo = FamilyMemo()
     memo.multi_poly_genocchi((1, 2), "x", 6)
@@ -404,153 +386,6 @@ def test_full_sweep_builds_each_genocchi_order_family_once(monkeypatch):
     assert sorted(at_x) == [(1, "x"), (2, "x"), (3, "x")]
 
 
-@pytest.mark.parametrize("ks", [(1.5, 2), [1.9, 2.2], ("2",), "12", (True, 1)])
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda ks: deg_multi_polyexp(ks, 3),
-        lambda ks: families.multi_poly_genocchi_deg(ks, "x", 4),
-        lambda ks: FamilyMemo().multi_poly_genocchi(ks, "x", 4),
-        lambda ks: check_theorem1(ks, 6),
-    ],
-    ids=["deg_multi_polyexp", "multi_poly_genocchi_deg", "memo", "check_theorem1"],
-)
-def test_non_int_indices_raise_type_error(build, ks):
-    # each used to be truncated by int(): (1.5, 2) built the (1, 2) family
-    with pytest.raises(TypeError):
-        build(ks)
-
-
-@pytest.mark.parametrize("argument", [True, False])
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda argument: families.genocchi_deg(argument, 4),
-        lambda argument: families.multi_poly_genocchi_deg((1, 2), argument, 4),
-        lambda argument: FamilyMemo().genocchi(argument, 4),
-        lambda argument: FamilyMemo().multi_poly_genocchi((1, 2), argument, 4),
-        lambda k: families.poly_genocchi_deg(k, "x", 4),
-        lambda r: families.genocchi_deg_order(r, "x", 4),
-        lambda n_max: families.euler_deg_order(2, "x", n_max),
-        lambda k: FamilyMemo().poly_genocchi(k, "x", 4),
-        lambda r: FamilyMemo().genocchi_order(r, "x", 4),
-        lambda n_max: FamilyMemo().euler_order(2, "x", n_max),
-        lambda weight: degen.deg_exp(weight, 4),
-        lambda base: degen.deg_falling_factorials(base, 4),
-        lambda base: FamilyMemo().falling_factorials(base, 4),
-        lambda k: degen.deg_polyexp(k, 4),
-        lambda k: degen.polyexp_modified(k, 4),
-        lambda n: degen.classical_falling_factorial(n),
-        lambda n_max: degen.stirling1_deg_recurrence(n_max),
-        lambda n_max: check_corollary2((1, 2), n_max),
-        lambda n_max: check_theorem3((1, 2), n_max),
-        lambda n_max: run_identity("thm1", n_max),
-        lambda r_max: check_eq19(4, r_max),
-        lambda order: degen.deg_exp("x", order),
-        lambda order: degen.deg_log(order),
-        lambda order: degen.deg_polyexp(1, order),
-        lambda order: degen.polyexp_modified(1, order),
-        lambda order: deg_multi_polyexp((1, 2), order),
-    ],
-    ids=[
-        "genocchi_deg",
-        "multi_poly_genocchi_deg",
-        "memo.genocchi",
-        "memo.multi_poly_genocchi",
-        "poly_genocchi_deg.k",
-        "genocchi_deg_order.r",
-        "euler_deg_order.n_max",
-        "memo.poly_genocchi.k",
-        "memo.genocchi_order.r",
-        "memo.euler_order.n_max",
-        "deg_exp.weight",
-        "deg_falling_factorials.base",
-        "memo.falling_factorials.base",
-        "deg_polyexp.k",
-        "polyexp_modified.k",
-        "classical_falling_factorial.n",
-        "stirling1_deg_recurrence.n_max",
-        "check_corollary2.n_max",
-        "check_theorem3.n_max",
-        "run_identity.n_max",
-        "check_eq19.r_max",
-        "deg_exp.order",
-        "deg_log.order",
-        "deg_polyexp.order",
-        "polyexp_modified.order",
-        "deg_multi_polyexp.order",
-    ],
-)
-def test_bool_argument_raises_type_error(build, argument):
-    # no reader takes True as 1 or False as 0: not an argument, a weight or
-    # base, an index k, an order r, a series order, r_max or an n_max
-    with pytest.raises(TypeError):
-        build(argument)
-
-
-def test_multi_polyexp_names_its_own_order():
-    # the order used to be read only by deg_falling_factorials, as "n_max"
-    with pytest.raises(TypeError, match="order must be an int"):
-        deg_multi_polyexp((1, 2), True)
-    with pytest.raises(ValueError, match="order must be nonnegative"):
-        deg_multi_polyexp((1, 2), -1)
-
-
-def test_eq19_with_no_order_raises_value_error():
-    # r_max = 0 would check no order at all and pass as a vacuous report
-    with pytest.raises(ValueError, match="r_max must be at least 1"):
-        check_eq19(4, 0)
-
-
-@pytest.mark.parametrize(
-    "accessor, stored, bad",
-    [("euler_order", 1, 1.0), ("genocchi_order", 1, True), ("poly_genocchi", 1, True)],
-)
-def test_memo_rejects_a_bool_or_float_input_whether_or_not_it_holds_the_int(accessor, stored, bad):
-    # 1.0 == True == 1 with equal hashes, so a key holding r or k as given
-    # would serve the int's entry to them once it is stored
-    fresh, warm = FamilyMemo(), FamilyMemo()
-    getattr(warm, accessor)(stored, "x", 4)
-    for memo in (fresh, warm):
-        with pytest.raises(TypeError):
-            getattr(memo, accessor)(bad, "x", 4)
-
-
-def test_memo_rejects_a_bool_order_after_a_build():
-    # True < 6, so a store that did not read the order would serve its prefix
-    memo = FamilyMemo()
-    memo.euler_order(2, "x", 6)
-    memo.falling_factorials("x", 6)
-    memo.stirling(6)
-    for call in (
-        lambda: memo.euler_order(2, "x", True),
-        lambda: memo.falling_factorials("x", True),
-        lambda: memo.stirling(True),
-    ):
-        with pytest.raises(TypeError):
-            call()
-
-
-@pytest.mark.parametrize("bad, error", [(-1, ValueError), (2.0, TypeError)], ids=["neg", "float"])
-@pytest.mark.parametrize(
-    "accessor, args",
-    [
-        ("genocchi_order", (1, "x")),
-        ("euler_order", (1, "x")),
-        ("multi_poly_genocchi", ((1, 2), "x")),
-        ("stirling", ()),
-        ("falling_factorials", ("x",)),
-        ("chain_factors", ((1, 2),)),
-        ("chain_convolutions", ((1, 2), [ZERO])),
-    ],
-    ids=lambda v: v if isinstance(v, str) else "",
-)
-def test_memo_reads_a_bad_n_max_as_n_max(accessor, args, bad, error):
-    # the store used to be the only reader, and named it "order"
-    with pytest.raises(error, match="^n_max must"):
-        getattr(FamilyMemo(), accessor)(*args, bad)
-
-
 def test_basics_build_each_base_series_once(monkeypatch):
     built, logs, powered = [], [], []
     for name in ("deg_exp", "deg_polyexp", "polyexp_modified", "deg_log"):
@@ -576,65 +411,3 @@ def test_basics_build_each_base_series_once(monkeypatch):
     # both compositions over log_lambda(1+t) share one list of its powers
     [log] = logs
     assert sum(series is log for series in powered) == 1
-
-
-KS = (1, 2)
-NEGATIVE_ORDER_CALLS = {
-    "deg_falling_factorials": lambda n: degen.deg_falling_factorials("x", n),
-    "deg_exp": lambda n: degen.deg_exp("x", n),
-    "deg_log": degen.deg_log,
-    "stirling1_deg_recurrence": degen.stirling1_deg_recurrence,
-    "classical_falling_factorial": degen.classical_falling_factorial,
-    "polyexp_modified": lambda n: degen.polyexp_modified(1, n),
-    "deg_polyexp": lambda n: degen.deg_polyexp(1, n),
-    "deg_multi_polyexp": lambda n: degen.deg_multi_polyexp(KS, n),
-    "genocchi_deg": lambda n: families.genocchi_deg("x", n),
-    "genocchi_deg_order": lambda n: families.genocchi_deg_order(2, "x", n),
-    "euler_deg_order": lambda n: families.euler_deg_order(2, "x", n),
-    "poly_genocchi_deg": lambda n: families.poly_genocchi_deg(2, "x", n),
-    "multi_poly_genocchi_deg": lambda n: families.multi_poly_genocchi_deg(KS, "x", n),
-    "memo.multi_poly_genocchi": lambda n: FamilyMemo().multi_poly_genocchi(KS, "x", n),
-    "memo.poly_genocchi": lambda n: FamilyMemo().poly_genocchi(2, "x", n),
-    "memo.genocchi": lambda n: FamilyMemo().genocchi("x", n),
-    "memo.genocchi_order": lambda n: FamilyMemo().genocchi_order(2, "x", n),
-    "memo.euler_order": lambda n: FamilyMemo().euler_order(2, "x", n),
-    "memo.stirling": lambda n: FamilyMemo().stirling(n),
-    "memo.falling_factorials": lambda n: FamilyMemo().falling_factorials("x", n),
-    "memo.chain_factors": lambda n: FamilyMemo().chain_factors(KS, n),
-    **{
-        f"check.{name}": lambda n, check=check: check(KS, n)
-        for name, check in verify.PER_KS_CHECKS.items()
-    },
-    "check_eq19": check_eq19,
-    "check_reduction": check_reduction,
-    "check_basics": check_basics,
-    **{
-        f"run_identity.{identity}{lists}": lambda n, i=identity, k=k_lists: run_identity(i, n, k)
-        for identity in verify.IDENTITY_CHOICES
-        for lists, k_lists in ((".sweep", None), (".explicit", [KS]))
-    },
-}
-
-
-@pytest.mark.parametrize("call", NEGATIVE_ORDER_CALLS.values(), ids=list(NEGATIVE_ORDER_CALLS))
-def test_negative_order_is_rejected(call):
-    # a plain message, not one from deep inside a build ("cannot truncate ...")
-    with pytest.raises(ValueError, match="nonnegative|n >= 0"):
-        call(-1)
-
-
-N_MAX_CHECKERS = {
-    **{name: partial(check, KS) for name, check in verify.PER_KS_CHECKS.items()},
-    "eq19": check_eq19,
-    "reduction": check_reduction,
-    "basics": check_basics,
-}
-
-
-@pytest.mark.parametrize("check", N_MAX_CHECKERS.values(), ids=list(N_MAX_CHECKERS))
-def test_checkers_name_n_max(check):
-    # not the "order" of the store that the first build would read it as
-    with pytest.raises(ValueError, match="^n_max must be nonnegative"):
-        check(-1)
-    with pytest.raises(TypeError, match="^n_max must be an int"):
-        check(True)
