@@ -216,27 +216,36 @@ def _json_text(obj, indent: str) -> str:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     if not obj:
         return "[]"
-    if set(map(type, obj)) == {tuple} and set(map(len, obj)) == {2}:
-        # string pairs (term_texts output) render in one join, no call per pair
-        flat = list(chain.from_iterable(obj))
-        if set(map(type, flat)) == {str}:
-            deeper = inner + "  "
-            strings = map(_encode_str, flat)
-            pairs = map((",\n" + deeper).join, zip(strings, strings))
-            body = ("\n" + inner + "]" + sep + "[\n" + deeper).join(pairs)
-            return "[\n" + inner + "[\n" + deeper + body + "\n" + inner + "]\n" + indent + "]"
     items = sep.join(_json_text(v, inner) for v in obj)
     return "[\n" + inner + items + "\n" + indent + "]"
 
 
-def _poly_record(family_id: str, params: dict, n: int, k: int | None, texts: list) -> dict:
-    """One JSON table record of the row ``(n, k, texts)``."""
-    record: dict = {"family_id": family_id, "params": params, "n": n}
-    if k is not None:
-        record["k"] = k
-    record["value"] = render_terms(texts)
-    record["value_terms"] = texts
-    return record
+def _render_table(meta: dict, family_id: str, params: dict, rows: list) -> str:
+    """The JSON table of ``(n, k, term_texts(value))`` rows, as :func:`_render_json` writes it.
+
+    Each record is ``family_id``, ``params``, ``n``, ``k`` when the row has
+    one, ``value`` and ``value_terms``.  Every record opens alike, so that
+    head is rendered once and each record joins its own parts onto it.
+    """
+    head = _json_text({"family_id": family_id, "params": params}, "    ")
+    head = head[: -len("\n    }")] + ',\n      "n": '  # the record stays open for n
+    pair = ",\n          "  # within a [monomial, coeff] pair
+    between = "\n        ],\n        [\n          "  # from one pair to the next
+    records = []
+    for n, k, texts in rows:
+        k_text = "" if k is None else f',\n      "k": {k}'
+        value = _encode_str(render_terms(texts))
+        if texts:
+            strings = map(_encode_str, chain.from_iterable(texts))
+            body = between.join(map(pair.join, zip(strings, strings)))
+            terms = "[\n        [\n          " + body + "\n        ]\n      ]"
+        else:
+            terms = "[]"
+        records.append(
+            f'{head}{n}{k_text},\n      "value": {value},\n      "value_terms": {terms}\n    }}'
+        )
+    table = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    return '{\n  "meta": ' + _json_text(meta, "  ") + ',\n  "records": ' + table + "\n}\n"
 
 
 def _render_csv(rows: list[tuple[int, int | None, list]]) -> str:
@@ -307,8 +316,7 @@ def cmd_compute(args) -> int:
     rows = [(n, k, term_texts(value)) for n, k, value in _entries(built)]
 
     if args.format == "json":
-        records = [_poly_record(family_id, params, n, k, texts) for n, k, texts in rows]
-        text = _render_json({"meta": meta, "records": records})
+        text = _render_table(meta, family_id, params, rows)
     else:
         text = _render_csv(rows)
     _write_text(text, args.out)

@@ -367,6 +367,8 @@ def term_texts(p: MultiPoly) -> list[tuple[str, str]]:
     num, den = p.num, p.den
     out = []
     try:
+        if den == 1:  # no coefficient to reduce
+            return [(_key_text(key), f"{num[key]}") for key in sorted(num, reverse=True)]
         for key in sorted(num, reverse=True):
             v = num[key]
             g = math.gcd(v, den)

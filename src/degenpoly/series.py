@@ -58,12 +58,12 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: CoeffLike, order: int) -> "TruncatedSeries":
-        return cls(order, [value] + [ZERO] * order)
+        return cls(order, [value] + [ZERO] * read_count(order, "series order"))
 
     @classmethod
     def t(cls, order: int) -> "TruncatedSeries":
         """The series t (truncates to 0 when order is 0)."""
-        coeffs = [ZERO] * (order + 1)
+        coeffs = [ZERO] * (read_count(order, "series order") + 1)
         if order >= 1:
             coeffs[1] = MultiPoly.const(1)
         return cls(order, coeffs)

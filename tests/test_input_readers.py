@@ -91,6 +91,10 @@ ENTRIES = {
     "TruncatedSeries": (
         lambda order: TruncatedSeries(order, [1, 2]), {"order": (COUNT, 1, "series order")}
     ),
+    "TruncatedSeries.constant": (
+        lambda order: TruncatedSeries.constant(1, order), {"order": (COUNT, 2, "series order")}
+    ),
+    "TruncatedSeries.t": (TruncatedSeries.t, {"order": (COUNT, 2, "series order")}),
     "TruncatedSeries.egf_coeff": (SERIES.egf_coeff, {"n": (COUNT, 2, "coefficient index")}),
     "TruncatedSeries.powers": (SERIES.powers, {"count": (COUNT, 2, "power count")}),
     "TruncatedSeries.__pow__": (lambda r: SERIES**r, {"r": (COUNT, 2, "series exponent")}),

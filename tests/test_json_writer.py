@@ -1,10 +1,13 @@
-"""Differential tests: the CLI's JSON writer against ``json.dumps(indent=2)``.
+"""Differential tests: the CLI's JSON writers against ``json.dumps(indent=2)``.
 
 ``cli._render_json`` must give the bytes of ``json.dumps(obj, indent=2) + "\\n"``
 on every tree of the JSON types the CLI emits: dicts with str keys, lists,
-tuples (rendered as lists), str, int, bool and None.  ``json.dumps`` is the
-oracle here and appears nowhere in the program.  Any other value raises
-``TypeError`` instead of rendering.
+tuples (rendered as lists), str, int, bool and None.  Any other value raises
+``TypeError`` instead of rendering.  ``cli._render_table`` writes compute's
+table, whose records share one head, and must give the bytes of the same
+call on ``{"meta": meta, "records": [...]}`` with each record built from its
+``(n, k, term_texts)`` row.  ``json.dumps`` is the oracle here and appears
+nowhere in the program.
 """
 
 import json
@@ -17,7 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from degenpoly.cli import _render_json
+from degenpoly.cli import _render_json, _render_table
+from degenpoly.poly import render_terms
 
 # quotes, backslashes, control and non-ASCII characters (a lone surrogate
 # too), mixed with any other code point
@@ -66,6 +70,41 @@ def oracle(obj) -> str:
 @example(["é \ud800\U0001f600", '"quoted" \\ back', "\x00\x01\t\n\x1f\x7f"])
 def test_render_json_matches_json_dumps(obj):
     assert _render_json(obj) == oracle(obj)
+
+
+# compute rows: (n, k or None, term_texts pairs); a coefficient text is never empty
+ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 2**70),
+        st.one_of(st.none(), st.integers(0, 99)),
+        st.lists(st.tuples(TEXT, st.text(CHARS, min_size=1, max_size=8)), max_size=4),
+    ),
+    max_size=4,
+)
+DICTS = st.dictionaries(TEXT, TREES, max_size=4)
+
+
+def table_oracle(meta: dict, family_id: str, params: dict, rows: list) -> str:
+    """The table as ``json.dumps`` writes it, each record built key by key."""
+    records = []
+    for n, k, texts in rows:
+        record = {"family_id": family_id, "params": params, "n": n}
+        if k is not None:
+            record["k"] = k
+        record["value"] = render_terms(texts)
+        record["value_terms"] = texts
+        records.append(record)
+    return oracle({"meta": meta, "records": records})
+
+
+@given(DICTS, TEXT, DICTS, ROWS)
+@example({}, "", {}, [])
+@example({"n_max": 1}, "Stirling1Deg", {"r": None}, [(0, 0, [("1", "1")]), (1, 0, []), (1, 1, [])])
+@example({}, "GenocchiDeg", {"ks": [1, 2]}, [(0, None, []), (3, None, [("x^2", "-3/2"), ("1", "7")])])
+def test_render_table_matches_json_dumps(meta, family_id, params, rows):
+    assert _render_table(meta, family_id, params, rows) == table_oracle(
+        meta, family_id, params, rows
+    )
 
 
 def test_shared_dict_renders_at_each_of_its_indents():

@@ -194,13 +194,16 @@ def test_text_round_trip_past_the_int_str_digit_limit():
     # coefficients can pass it: the text form must render all the same
     limit = sys.get_int_max_str_digits()
     tiny = MultiPoly.const(Fraction(1, 10**5000))
-    wide = MultiPoly({(1, 2, 0): Fraction(-(3**9000), 7), (0, 0, 1): 5})
-    texts = [str(tiny), str(wide)]
+    wide = MultiPoly({(1, 2, 0): Fraction(-(3**10000), 7), (0, 0, 1): 5})
+    # integer coefficients only (a common denominator of 1), 4772 digits
+    whole = MultiPoly({(0, 2, 0): -(3**10000), (0, 0, 0): 5})
+    texts = [str(tiny), str(wide), str(whole)]
     assert texts[0] == "1/1" + "0" * 5000
+    assert texts[2].startswith("-") and texts[2].endswith("*x^2 + 5")
     assert sys.get_int_max_str_digits() == limit
     sys.set_int_max_str_digits(0)  # the oracle's int() reads the long integers
     try:
-        assert [read_poly(text) for text in texts] == [tiny, wide]
+        assert [read_poly(text) for text in texts] == [tiny, wide, whole]
     finally:
         sys.set_int_max_str_digits(limit)
 
