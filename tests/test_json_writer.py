@@ -108,8 +108,8 @@ def test_render_table_matches_json_dumps(meta, family_id, params, rows):
 
 
 def test_shared_dict_renders_at_each_of_its_indents():
-    # compute shares one params dict between its records; the writer renders
-    # a dict once per indent, so the same dict deeper down gets its own text
+    # one dict object at several places and depths: each place renders it at
+    # its own indent
     params = {"r": None, "ks": [1, -2], "lambda": "sym"}
     empty: dict = {}
     records = [{"params": params, "n": n, "more": {"params": params, "e": empty}} for n in range(3)]
