@@ -367,8 +367,9 @@ def _fmt_param(value) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.identity == "basics" and (args.ks != "sweep" or args.r is not None):
-        raise ValueError("--identity basics takes no --ks or --r")
+    _, per_ks, _ = verify_mod.IDENTITIES.get(args.identity, ("", True, None))  # all: per k-list
+    if not per_ks and (args.ks != "sweep" or args.r is not None):
+        raise ValueError(f"--identity {args.identity} takes no --ks or --r")
     r_filter = _parse_r_filter(args.r) if args.r is not None else None
     if args.ks == "sweep":
         k_lists = None

@@ -556,20 +556,22 @@ def default_k_lists() -> tuple[tuple[int, ...], ...]:
     return singles + pairs + R3_SAMPLE
 
 
-PER_KS_CHECKS: dict[str, Callable[..., VerifyReport]] = {
-    "thm1": check_theorem1,
-    "cor2": check_corollary2,
-    "thm3": check_theorem3,
-    "prop4": check_prop4,
-    "eq15": check_eq15,
-    "vanishing": check_vanishing,
+# Each identity id, in the order ``all`` runs them: its checker's name here
+# (looked up at each run, so a rebound name is the one called), whether it
+# runs once per k-list rather than once per n_max, and its n_max cap in ``all``.
+IDENTITIES: dict[str, tuple[str, bool, int | None]] = {
+    "thm1": ("check_theorem1", True, None),
+    "cor2": ("check_corollary2", True, None),
+    "thm3": ("check_theorem3", True, None),
+    "prop4": ("check_prop4", True, 8),  # its work grows with trivariate coefficients
+    "eq15": ("check_eq15", True, None),
+    "vanishing": ("check_vanishing", True, None),
+    "eq19": ("check_eq19", False, None),
+    "reduction": ("check_reduction", False, None),
+    "basics": ("check_basics", False, None),
 }
 
-IDENTITY_CHOICES = tuple(PER_KS_CHECKS) + ("basics", "all")
-
-# Prop4 is the one checker whose work grows with trivariate coefficients;
-# inside the full sweep it is capped at this n_max (standalone runs are not).
-PROP4_SWEEP_CAP = 8
+IDENTITY_CHOICES = (*IDENTITIES, "all")
 
 
 def run_identity(
@@ -578,7 +580,7 @@ def run_identity(
     k_lists: Sequence[Sequence[int]] | None = None,
     memo: FamilyMemo | None = None,
 ) -> list[VerifyReport]:
-    """Run one identity (or ``basics`` / ``all``) and return its reports.
+    """Run one id of :data:`IDENTITIES`, or ``all`` (each id at its cap); return the reports.
 
     ``k_lists`` defaults to :func:`default_k_lists`; default lists whose
     length exceeds ``n_max`` are skipped, while an explicit list longer than
@@ -592,24 +594,27 @@ def run_identity(
     else:
         lists = [index_tuple(ks) for ks in k_lists]
     memo = memo or FamilyMemo()
-    if identity in PER_KS_CHECKS:
-        return [PER_KS_CHECKS[identity](ks, n_max, memo) for ks in lists]
-    if identity == "basics":
-        return check_basics(n_max, memo)
-    if identity == "all":
-        # Eq19 (r <= EQ19_R_MAX) and Cor2 (r = len(ks) <= n_max; a longer list
-        # gives a vacuous report) ask for order-r Genocchi at n_max + r, the
-        # highest orders of the sweep.  Building the highest first lets the
-        # memo build 2/(e_lambda(t)+1) once and cut every later request down from it.
-        r_top = max([EQ19_R_MAX, *(len(ks) for ks in lists if len(ks) <= n_max)])
-        memo.genocchi_order(r_top, "x", n_max + r_top)
-        reports: list[VerifyReport] = []
-        for name, checker in PER_KS_CHECKS.items():
-            nm = min(n_max, PROP4_SWEEP_CAP) if name == "prop4" else n_max
-            for ks in lists:
-                reports.append(checker(ks, nm, memo))
-        reports.append(check_eq19(n_max, EQ19_R_MAX, memo))
-        reports.append(check_reduction(n_max, memo))
-        reports.extend(check_basics(n_max, memo))
-        return reports
-    raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITY_CHOICES}")
+    if identity in IDENTITIES:
+        return _run(identity, n_max, lists, memo)
+    if identity != "all":
+        raise ValueError(f"unknown identity {identity!r}; choose from {IDENTITY_CHOICES}")
+    # Eq19 (r <= EQ19_R_MAX) and Cor2 (r = len(ks) <= n_max; a longer list
+    # gives a vacuous report) ask for order-r Genocchi at n_max + r, the
+    # highest orders of the sweep.  Building the highest first lets the
+    # memo build 2/(e_lambda(t)+1) once and cut every later request down from it.
+    r_top = max([EQ19_R_MAX, *(len(ks) for ks in lists if len(ks) <= n_max)])
+    memo.genocchi_order(r_top, "x", n_max + r_top)
+    reports: list[VerifyReport] = []
+    for each, (_, _, cap) in IDENTITIES.items():
+        reports += _run(each, n_max if cap is None else min(n_max, cap), lists, memo)
+    return reports
+
+
+def _run(identity: str, n_max: int, lists, memo: FamilyMemo) -> list[VerifyReport]:
+    """The reports of one table entry: one per k-list, or its per-n_max checker's."""
+    name, per_ks, _ = IDENTITIES[identity]
+    checker = globals()[name]
+    if per_ks:
+        return [checker(ks, n_max, memo) for ks in lists]
+    reports = checker(n_max, memo=memo)
+    return reports if isinstance(reports, list) else [reports]

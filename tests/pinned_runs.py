@@ -48,6 +48,11 @@ PINNED_RUNS = [
          "verify --identity all --n-max 16 --format json", 0),
         ("sha256:ff03e718293f1fc0661e2341b021fe7ef259685fe64846bcd69dc3bf73585747",
          "verify --identity all --n-max 8 --format json --corrupt", 1),
+        # the ids that run once per n_max, through the CLI on their own
+        ("sha256:d98df8190202fab30bdcb89f593da501974be4d280e59afa021b5deb5303fcf0",
+         "verify --identity eq19 --n-max 8 --format json", 0),
+        ("sha256:6f4126943f39072d7fd662e6dd6c6b1a63099243225fae033942826deea74210",
+         "verify --identity reduction --n-max 8 --format json", 0),
         # the one compute family bench/digests.json does not cover
         ("sha256:b0f543f92598596c916b7922c508c0b500d1f0a69d4ae357a6a44734feda2493",
          "compute --family multi-polyexp --ks=-1,2 --n-max 6", 0),

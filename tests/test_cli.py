@@ -207,20 +207,26 @@ def test_a_failed_identity_past_the_int_str_digit_limit_exits_1():
     assert "FAILED" in bad.stdout and bad.stderr == ""
 
 
+# the ids that run once per n_max, not once per k-list
+PER_N_IDS = ("eq19", "reduction", "basics")
+
+
+@pytest.mark.parametrize("identity", PER_N_IDS)
 @pytest.mark.parametrize(
     "flags", [("--ks", "1,2"), ("--r", "2"), ("--ks", "1", "--r", "1")]
 )
-def test_verify_basics_rejects_ks_and_r(flags):
-    # basics runs no k-list checker, so these flags would be silently ignored
-    proc = run_cli("verify", "--identity", "basics", "--n-max", "2", *flags)
+def test_verify_basics_rejects_ks_and_r(flags, identity):
+    # a per-n_max id runs no k-list checker, so these flags would be silently ignored
+    proc = run_cli("verify", "--identity", identity, "--n-max", "2", *flags)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    message = "degenpoly: error: --identity basics takes no --ks or --r"
+    message = f"degenpoly: error: --identity {identity} takes no --ks or --r"
     assert proc.stderr.splitlines()[-1] == message
 
 
-def test_verify_basics_accepts_explicit_sweep():
-    proc = run_cli("verify", "--identity", "basics", "--n-max", "2", "--ks", "sweep")
+@pytest.mark.parametrize("identity", PER_N_IDS)
+def test_verify_basics_accepts_explicit_sweep(identity):
+    proc = run_cli("verify", "--identity", identity, "--n-max", "2", "--ks", "sweep")
     assert proc.returncode == 0
 
 

@@ -114,10 +114,12 @@ ENTRIES = {
         lambda memo, ks, n_max: memo.chain_convolutions(ks, [ONE] * 4, n_max),
         {"ks": KKS, "n_max": N},
     ),
-    **{check.__name__: (check, {"ks": KKS, "n_max": N}) for check in verify.PER_KS_CHECKS.values()},
+    **{
+        name: (getattr(verify, name), {"ks": KKS, "n_max": N} if per_ks else {"n_max": N})
+        for name, per_ks, _ in verify.IDENTITIES.values()
+    },
+    # Eq19 reads its r_max too
     "check_eq19": (verify.check_eq19, {"n_max": N, "r_max": RR}),
-    "check_reduction": (verify.check_reduction, {"n_max": N}),
-    "check_basics": (verify.check_basics, {"n_max": N}),
     # k_lists holds a good list, then the slot's
     **{
         f"run_identity.{identity}": (

@@ -306,7 +306,6 @@ def _cor2_convolutions(monkeypatch) -> list:
 
     monkeypatch.setattr(verify, "_binomial_convolutions", counting)
     monkeypatch.setattr(verify, "check_corollary2", marked)
-    monkeypatch.setitem(verify.PER_KS_CHECKS, "cor2", marked)
     return calls
 
 

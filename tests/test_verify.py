@@ -225,6 +225,14 @@ def test_run_identity_all_composition():
     assert all(r.passed for r in reports)
 
 
+def test_run_identity_all_runs_the_table_in_order():
+    each = [
+        run_identity(identity, 5 if cap is None else min(5, cap))
+        for identity, (_, _, cap) in verify.IDENTITIES.items()
+    ]
+    assert run_identity("all", 5) == [report for reports in each for report in reports]
+
+
 def test_run_identity_default_sweep_skips_oversized_r():
     reports = run_identity("vanishing", 2)
     assert all(len(dict(r.params)["ks"]) <= 2 for r in reports)
