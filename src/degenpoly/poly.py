@@ -16,23 +16,29 @@ whole common factor, so the result is ``num * (c // g)`` over ``den // g``.
 :attr:`MultiPoly.terms` gives the coefficients as reduced ``Fraction`` values.
 
 Monomial keys.  The monomial ``lambda^a * x^b * y^c`` is the one int
-``a << 40 | b << 20 | c``: three 20-bit fields, lambda in the high field,
+``c << 40 | b << 20 | a``: three 20-bit fields, lambda in the low field,
 then x, then y, as in the packed monomials of sparse polynomial
 multiplication (Monagan and Pearce, J. Symb. Comp. 46, 2011).  So a
-monomial product is one int sum ``k1 + k2``.  Each exponent lies in
-``0..MAX_EXPONENT`` (``2^19 - 1``); the top bit of each field is a guard
-bit, clear in every stored key.  Two fields below the limit sum to at most
-``2^20 - 2``, so a sum never carries into the next field and sets the
-field's guard bit exactly when the exponent passes the limit:
-:func:`sum_of_products` then raises ``OverflowError`` rather than wrap.  The
-public interface speaks in exponent triples ``(a, b, c)``:
-``MultiPoly(terms)`` takes them (anything else raises ``ValueError``), and
-``terms`` gives them back.
+monomial product is one int sum ``k1 + k2``.  Lambda is low because most
+products are in lambda alone: CPython hashes an int to its own value and
+takes a dict slot from its low bits, so keys that differ in lambda start on
+different probe chains.  A lambda-only key is its own exponent, a one-digit
+int and a cached small int up to 256, so ``k1 + k2`` is one-digit
+arithmetic; a ``(lambda, x)`` key with x-degree below 1024 is one digit
+too.  Each exponent lies in ``0..MAX_EXPONENT`` (``2^19 - 1``); the top
+bit of each field is a guard bit, clear in every stored key.  Two fields
+below the limit sum to at most ``2^20 - 2``, so a sum never carries into
+the next field and sets the field's guard bit exactly when the exponent
+passes the limit: :func:`sum_of_products` then raises ``OverflowError``
+rather than wrap.  The public interface speaks in exponent triples
+``(a, b, c)``: ``MultiPoly(terms)`` takes them (anything else raises
+``ValueError``), and ``terms`` gives them back.
 
 The canonical text form orders monomials by descending exponent triple
-(lambda weighs more than x, x more than y), which is descending key order,
-e.g. ``lambda^2 - 3*lambda + 2`` or ``3/2*lambda + x^2``.  The package
-writes this text and never reads it back.  Scalars are ``int`` or
+(lambda weighs more than x, x more than y), e.g. ``lambda^2 - 3*lambda +
+2`` or ``3/2*lambda + x^2``.  That is not key order: :func:`term_texts`
+sorts by :func:`_rank`, the triple packed lambda high, cached per key.  The
+package writes this text and never reads it back.  Scalars are ``int`` or
 ``Fraction``; any other scalar, a float or a string included, raises
 ``TypeError``.
 """
@@ -51,10 +57,10 @@ R = TypeVar("R")  # a ring element: a polynomial or a truncated series
 
 SYMBOLS = ("lambda", "x", "y")
 
-# the packed monomial key: one 20-bit field per symbol, lambda highest
+# the packed monomial key: one 20-bit field per symbol, lambda lowest
 MAX_EXPONENT = 2**19 - 1
 _FIELD = 2**20 - 1
-_SHIFT = {"lambda": 40, "x": 20, "y": 0}
+_SHIFT = {"lambda": 0, "x": 20, "y": 40}
 _GUARD = 1 << 59 | 1 << 39 | 1 << 19
 
 
@@ -64,12 +70,12 @@ def _pack(exps: Exponents) -> int:
         a, b, c = exps
         if type(a) is int and type(b) is int and type(c) is int:
             if 0 <= a <= MAX_EXPONENT and 0 <= b <= MAX_EXPONENT and 0 <= c <= MAX_EXPONENT:
-                return a << 40 | b << 20 | c
+                return c << 40 | b << 20 | a
     raise ValueError(f"exponents must be a triple of ints in 0..{MAX_EXPONENT}, got {exps!r}")
 
 
 def _unpack(key: int) -> Exponents:
-    return (key >> 40, key >> 20 & _FIELD, key & _FIELD)
+    return (key & _FIELD, key >> 20 & _FIELD, key >> 40)
 
 
 def _fraction(value: Scalar) -> Fraction:
@@ -120,7 +126,7 @@ class MultiPoly:
     """Sparse polynomial in lambda, x, y with exact rational coefficients.
 
     ``num`` maps packed monomial keys (see the module docstring: 20-bit
-    fields, lambda high, then x, then y, each exponent at most
+    fields, lambda low, then x, then y, each exponent at most
     ``MAX_EXPONENT = 2^19 - 1`` with the field's top bit as guard) to integer
     numerators over the one common denominator ``den``.  ``MultiPoly(terms)``
     takes ``{(a, b, c): coefficient}`` and raises ``ValueError`` for any key
@@ -353,23 +359,35 @@ def _key_text(key: int) -> str:
     return monomial_text(_unpack(key))
 
 
+@functools.cache
+def _rank(key: int) -> int:
+    """The exponent triple of a packed key, packed lambda high: its canonical sort key.
+
+    Cached, as :func:`_key_text` is.
+    """
+    a, b, c = _unpack(key)
+    return a << 40 | b << 20 | c
+
+
 def term_texts(p: MultiPoly) -> list[tuple[str, str]]:
     """``(monomial text, reduced coefficient text)`` per term, in canonical order.
 
-    Canonical order is descending exponent triples, which is descending key
-    order.  Each numerator is reduced against the common denominator on the
-    integers, giving the text ``str(Fraction(v, den))`` would give.  Exact
-    integers can pass CPython's int/str digit limit (4300 digits by default):
-    such a polynomial renders in a second pass with the limit lifted, and the
-    first pass pays nothing for it.  Where no limit is set, the error had
-    another cause and is raised again.
+    Canonical order is descending exponent triples: descending :func:`_rank`,
+    not key order, since keys put lambda in the low field.  Each numerator is
+    reduced against the common denominator on the integers, giving the text
+    ``str(Fraction(v, den))`` would give.  Exact integers can pass CPython's
+    int/str digit limit (4300 digits by default): such a polynomial renders
+    in a second pass with the limit lifted, and the first pass pays nothing
+    for it.  Where no limit is set, the error had another cause and is raised
+    again.
     """
     num, den = p.num, p.den
+    keys = sorted(num, key=_rank, reverse=True)
     out = []
     try:
         if den == 1:  # no coefficient to reduce
-            return [(_key_text(key), f"{num[key]}") for key in sorted(num, reverse=True)]
-        for key in sorted(num, reverse=True):
+            return [(_key_text(key), f"{num[key]}") for key in keys]
+        for key in keys:
             v = num[key]
             g = math.gcd(v, den)
             out.append((_key_text(key), f"{v // g}" if g == den else f"{v // g}/{den // g}"))

@@ -2,8 +2,10 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +250,23 @@ def test_non_rational_scalars_raise_type_error(bad):
         X + bad
     with pytest.raises(TypeError):
         X * bad
+
+
+# the packed key layout's names and field shifts; only poly.py may know them
+LAYOUT = re.compile(r"\b(_pack|_unpack|_rank|_FIELD|_SHIFT|_GUARD)\b|<< ?[24]0\b|>> ?40\b")
+SRC_FILES = sorted((Path(__file__).resolve().parent.parent / "src" / "degenpoly").glob("*.py"))
+
+
+def test_only_poly_knows_the_key_layout():
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SRC_FILES}
+    offenders = [
+        (name, m.group())
+        for name, text in texts.items()
+        if name != "poly.py"
+        for m in LAYOUT.finditer(text)
+    ]
+    assert offenders == []
+    # the scan reached the layout it guards
+    found = {m.group() for m in LAYOUT.finditer(texts["poly.py"])}
+    assert found >= {"_pack", "_unpack", "_rank", "_FIELD", "_SHIFT", "_GUARD"}
+    assert found >= {"<< 20", "<< 40", ">> 40"}

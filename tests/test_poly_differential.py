@@ -337,10 +337,13 @@ def test_products_at_the_bound():
     assert LAM * lam(2**19 - 2) == lam(2**19 - 1)
     with pytest.raises(OverflowError):
         lam(2**18) * lam(2**18)
-    # a carry out of the y or x field would land in the next field up
+    # a carry out of the lambda or x field would land in the next field up,
+    # and one out of the y field would pass the top of the key: squaring the
+    # top exponent of every field raises, whichever field is lowest
+    top_lam = MultiPoly({(MAX_EXPONENT, 0, 0): 1})
     top_y = MultiPoly({(0, 0, MAX_EXPONENT): 1})
     top_x = MultiPoly({(0, MAX_EXPONENT, 0): 1})
-    for p in (top_y, top_x, top_y * top_x):
+    for p in (top_lam, top_y, top_x, top_y * top_x):
         with pytest.raises(OverflowError):
             sum_of_products([(1, p, p)])
     # an overflowing pair raises even where its coefficient cancels
